@@ -4,11 +4,9 @@ Times the cost-model pipelines from ``docs/PERF.md`` on sweep-like
 cohorts (candidates sharing their inner levels, as the level sweep emits
 them) and reports evaluations/second:
 
-* ``scalar``  — one ``evaluate()`` call per mapping, no caches;
-* ``partial`` — scalar evaluation with a shared term-level
-  ``PartialEvalCache``;
-* ``batch``   — ``evaluate_batch()`` per cohort with the shared cache
-  (the numpy-vectorised path the search engine uses).
+* ``scalar``  — one ``evaluate()`` call per mapping;
+* ``batch``   — ``evaluate_batch()`` per cohort (the numpy-vectorised
+  path the search engine uses).
 
 It also times the *generation* stage on the same candidate streams
 (candidates/second), and the two stages end to end:
@@ -27,7 +25,9 @@ the repo root::
 
     PYTHONPATH=src python benchmarks/bench_model_throughput.py
 
-which writes ``BENCH_model.json`` next to this repo's README.  CI runs
+which writes ``BENCH_model.json`` next to this repo's README (the
+committed file predates the removal of the ``partial`` mode and keeps
+its ``partial_*`` keys as the historical record).  CI runs
 ``--quick --check`` as a smoke test: small cohorts, plus a bit-identity
 assertion between the pipelines (including generation: same
 fingerprints, same costs).
@@ -52,12 +52,7 @@ from repro.arch import conventional, diannao_like
 from repro.baselines.common import prime_factors
 from repro.mapping import build_mapping
 from repro.mapspace.batch import NestCohort
-from repro.model import (
-    HAVE_NUMPY,
-    PartialEvalCache,
-    evaluate,
-    evaluate_batch,
-)
+from repro.model import HAVE_NUMPY, evaluate, evaluate_batch
 from repro.workloads import RESNET18_LAYERS, mttkrp
 
 _FIELDS = ("energy_pj", "cycles", "valid", "violations", "level_energy",
@@ -71,11 +66,10 @@ def sweep_specs(workload, arch, rng, n_cohorts, cohort_size):
     The inner levels are decided once — exactly the state ``_sweep()``
     carries between steps — and every candidate redistributes the
     remaining prime factors over the two outermost levels.  Terms whose
-    child level sits below the perturbed levels repeat across candidates
-    and cohorts, which is the reuse the partial cache exists for.  Each
-    spec is ``(temporal_dicts, spatial_dicts, orders)`` — what the
-    generation stage turns into a ``Mapping`` (scalar) or a cohort row
-    (batch).
+    child level sits below the perturbed levels repeat across candidates,
+    which the vectorised path computes once per cohort.  Each spec is
+    ``(temporal_dicts, spatial_dicts, orders)`` — what the generation
+    stage turns into a ``Mapping`` (scalar) or a cohort row (batch).
     """
     num = arch.num_levels
     factors = [(d, p) for d, size in workload.dims.items()
@@ -144,27 +138,15 @@ def run_scalar(cohorts):
     return out, time.perf_counter() - start
 
 
-def run_partial(cohorts):
-    cache = PartialEvalCache()
-    start = time.perf_counter()
-    out = []
-    for cohort in cohorts:
-        for mapping in cohort:
-            out.append(evaluate(mapping, partial_cache=cache))
-    return out, time.perf_counter() - start
-
-
 def run_batch(cohorts):
-    cache = PartialEvalCache()
     start = time.perf_counter()
     out = []
     for cohort in cohorts:
-        out.extend(evaluate_batch(cohort, partial_cache=cache))
+        out.extend(evaluate_batch(cohort))
     return out, time.perf_counter() - start
 
 
-_MODES = (("scalar", run_scalar), ("partial", run_partial),
-          ("batch", run_batch))
+_MODES = (("scalar", run_scalar), ("batch", run_batch))
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +187,7 @@ def run_e2e_batch(workload, arch, spec_cohorts):
     for cohort in spec_cohorts:
         nest_cohort = NestCohort.from_nests(
             workload, arch, [spec_to_nests(spec) for spec in cohort])
-        costs = nest_cohort.evaluate_rows(
-            range(len(cohort)), True, None, None)
+        costs = nest_cohort.evaluate_rows(range(len(cohort)), True, None)
         if costs is None:  # no numpy: per-row scalar fallback
             costs = [evaluate(nest_cohort.materialize(i))
                      for i in range(len(cohort))]
@@ -287,19 +268,16 @@ def bench_workload(workload, arch, *, n_cohorts, cohort_size, repeats,
         results[name] = out
         row[f"{name}_evals_per_s"] = n_evals / best
         row[f"{name}_time_s"] = best
-    row["speedup_partial_vs_scalar"] = (
-        row["partial_evals_per_s"] / row["scalar_evals_per_s"])
     row["speedup_batch_vs_scalar"] = (
         row["batch_evals_per_s"] / row["scalar_evals_per_s"])
 
     if check:
-        for name in ("partial", "batch"):
-            for i, oracle in enumerate(results["scalar"]):
-                got = results[name][i]
-                for field in _FIELDS:
-                    assert getattr(oracle, field) == getattr(got, field), (
-                        f"{workload.name}: {name} result {i} diverges from "
-                        f"scalar on {field}")
+        for i, oracle in enumerate(results["scalar"]):
+            got = results["batch"][i]
+            for field in _FIELDS:
+                assert getattr(oracle, field) == getattr(got, field), (
+                    f"{workload.name}: batch result {i} diverges from "
+                    f"scalar on {field}")
     return row
 
 
@@ -309,7 +287,8 @@ def main(argv=None):
     parser.add_argument("--quick", action="store_true",
                         help="small cohorts (CI smoke, no JSON by default)")
     parser.add_argument("--check", action="store_true",
-                        help="assert the three pipelines agree bitwise")
+                        help="assert the vectorised pipelines agree "
+                             "bitwise with the scalar one")
     parser.add_argument("--json", metavar="PATH", default=None,
                         help="write results to PATH (default: "
                              "BENCH_model.json at the repo root unless "
@@ -344,8 +323,6 @@ def main(argv=None):
         report["workloads"][label] = row
         print(f"{label}: {row['evaluations']} evals | "
               f"scalar {row['scalar_evals_per_s']:.0f}/s, "
-              f"partial {row['partial_evals_per_s']:.0f}/s "
-              f"({row['speedup_partial_vs_scalar']:.2f}x), "
               f"batch {row['batch_evals_per_s']:.0f}/s "
               f"({row['speedup_batch_vs_scalar']:.2f}x)")
         print(f"{label}: generation "
@@ -377,7 +354,7 @@ def main(argv=None):
         atomic_write_json(path, report)
         print(f"wrote {path}")
     if args.check:
-        print("check: scalar, partial-cache and batch agree bitwise "
+        print("check: scalar and batch agree bitwise "
               "(evaluation, generation and end-to-end)")
     return 0
 

@@ -79,7 +79,6 @@ def cosa_search(
     partial_reuse: bool = True,
     engine: SearchEngine | None = None,
     sparsity: SparsitySpec | None = None,
-    batch: bool = True,
     cache_size: int | None = None,
 ) -> SearchResult:
     """Run the CoSA-like one-shot mapper.
@@ -181,7 +180,7 @@ def cosa_search(
     space = PointSpace(mapping)
     with engine_scope(engine, workers=1, cache=False,
                       partial_reuse=partial_reuse,
-                      sparsity=sparsity, batch=batch,
+                      sparsity=sparsity,
                       cache_size=cache_size) as eng:
         (cost,) = eng.evaluate_many(list(space.enumerate()))
         stats = eng.stats

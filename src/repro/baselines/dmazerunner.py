@@ -194,10 +194,8 @@ def dmazerunner_search(
     workers: int = 1,
     cache: bool = True,
     sparsity: SparsitySpec | None = None,
-    batch: bool = True,
     cache_size: int | None = None,
     shard: tuple[int, int] | None = None,
-    batch_gen: bool = True,
     bound: bool = True,
 ) -> SearchResult:
     """Run the dMazeRunner-like search.
@@ -226,8 +224,6 @@ def dmazerunner_search(
         workers=workers,
         cache=cache,
         sparsity=sparsity,
-        batch=batch,
-        batch_gen=batch_gen,
         cache_size=cache_size,
         shard=shard,
         bound=bound,

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import time
 
+from .. import optional_numpy
 from ..arch.spec import Architecture
 from ..mapping.mapping import Mapping
 from ..mapspace.batch import SpaceDecoder, full_space_cohorts
@@ -40,11 +41,6 @@ from ..search import SearchEngine
 from ..sparse.spec import SparsitySpec
 from ..workloads.expression import Workload
 from .common import SearchResult, engine_scope
-
-try:  # numpy is optional; the scalar walk covers its absence.
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -62,20 +58,18 @@ def exhaustive_search(
     workers: int = 1,
     cache: bool = True,
     sparsity: SparsitySpec | None = None,
-    batch: bool = True,
     cache_size: int | None = None,
     shard: tuple[int, int] | None = None,
-    batch_gen: bool = True,
     bound: bool = True,
 ) -> SearchResult:
     """Enumerate the full mapping space and return the best valid mapping.
 
     ``orders_per_level`` caps the loop permutations tried per level (None =
     all).  ``shard=(i, n)`` walks only the ``i``-th of ``n`` disjoint
-    deterministic shards of the space.  ``batch_gen`` index-decodes the
-    space into matrix cohorts (same candidates, same order) instead of
-    materializing one ``Mapping`` per candidate; the winner is
-    bit-identical either way.  ``bound`` enables exact branch-and-bound
+    deterministic shards of the space.  With numpy the space is
+    index-decoded into matrix cohorts (same candidates, same order)
+    instead of materializing one ``Mapping`` per candidate; the winner
+    is bit-identical either way.  ``bound`` enables exact branch-and-bound
     pruning of whole split-prefix regions (identical winner and cost;
     see module docstring).  Raises :class:`SearchBudgetExceeded` when
     the space exceeds ``max_evaluations``.
@@ -90,7 +84,7 @@ def exhaustive_search(
         )
 
     cohorts = None
-    if batch_gen and not bound:
+    if not bound:
         cohorts = full_space_cohorts(workload, arch, orders_per_level,
                                      shard=shard)
 
@@ -98,11 +92,11 @@ def exhaustive_search(
     evaluations = 0
     certificate = None
     with engine_scope(engine, workers, cache, partial_reuse, sparsity,
-                      batch, cache_size) as eng:
+                      cache_size) as eng:
         if bound:
             best, evaluations, certificate = _branch_and_bound(
                 workload, arch, space, objective, eng, shard,
-                partial_reuse, sparsity, batch_gen)
+                partial_reuse, sparsity)
             stats = eng.stats
         elif cohorts is not None:
             # Vectorized generation: the space is index-decoded straight
@@ -188,7 +182,6 @@ def _branch_and_bound(
     shard: tuple[int, int] | None,
     partial_reuse: bool,
     sparsity: SparsitySpec | None,
-    batch_gen: bool = True,
 ):
     """Best-first DFS over split prefixes with analytic region pruning.
 
@@ -204,9 +197,9 @@ def _branch_and_bound(
 
     Surviving leaves (full per-dimension splits) contribute their
     in-shard ordering-block indices; those are accumulated and
-    index-decoded into matrix cohorts (``batch_gen``, numpy available)
-    or materialized as ``Mapping`` objects, then streamed through the
-    batched evaluator.
+    index-decoded into matrix cohorts (numpy available) or materialized
+    as ``Mapping`` objects, then streamed through the batched
+    evaluator.
     """
     dims = list(workload.dim_names)
     num = arch.num_levels
@@ -234,17 +227,16 @@ def _branch_and_bound(
     best = None  # (value, enumeration_index, mapping, cost)
     evaluations = 0
 
-    decoder = None
-    if batch_gen and _np is not None:
-        decoder = SpaceDecoder(workload, arch, perms)
-        if not decoder.available:
-            decoder = None
+    decoder = SpaceDecoder(workload, arch, perms)
+    if not decoder.available:
+        decoder = None
 
     def better(value: float, index: int) -> bool:
         return (best is None or value < best[0]
                 or (value == best[0] and index < best[1]))
 
     if decoder is not None:
+        np = optional_numpy.np
         pending: list = []  # int64 index arrays of surviving leaf blocks
         pending_n = 0
         flush_at = max(1024, eng.workers * eng.chunk_size)
@@ -254,7 +246,7 @@ def _branch_and_bound(
             if not pending_n:
                 return
             gen_start = time.perf_counter()
-            ks = pending[0] if len(pending) == 1 else _np.concatenate(pending)
+            ks = pending[0] if len(pending) == 1 else np.concatenate(pending)
             cohort = decoder.decode(ks)
             stats.add_stage_time(
                 "generation", time.perf_counter() - gen_start)
@@ -272,8 +264,8 @@ def _branch_and_bound(
 
         def emit_leaf(base: int, first: int) -> None:
             nonlocal pending_n
-            pending.append(_np.arange(first, base + block, shard_count,
-                                      dtype=_np.int64))
+            pending.append(np.arange(first, base + block, shard_count,
+                                     dtype=np.int64))
             pending_n += len(pending[-1])
             if pending_n >= flush_at:
                 flush()

@@ -172,13 +172,12 @@ def gamma_search(
     workers: int = 1,
     cache: bool = True,
     sparsity: SparsitySpec | None = None,
-    batch: bool = True,
     cache_size: int | None = None,
 ) -> SearchResult:
     """Run the GAMMA-like genetic search."""
     start = time.perf_counter()
     with engine_scope(engine, workers, cache, partial_reuse, sparsity,
-                      batch, cache_size) as engine:
+                      cache_size) as engine:
         search = _GammaSearch(workload, arch, config, partial_reuse, engine)
         outcome = search.run()
         elapsed = time.perf_counter() - start

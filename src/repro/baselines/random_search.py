@@ -111,7 +111,6 @@ def timeloop_search(
     workers: int = 1,
     cache: bool = True,
     sparsity: SparsitySpec | None = None,
-    batch: bool = True,
     cache_size: int | None = None,
 ) -> SearchResult:
     """Run the Timeloop-like random search.
@@ -128,7 +127,7 @@ def timeloop_search(
     sampled = 0
 
     with engine_scope(engine, workers, cache, partial_reuse, sparsity,
-                      batch, cache_size) as eng:
+                      cache_size) as eng:
         batch_size = max(1, eng.workers * eng.chunk_size // 8) \
             if eng.workers > 1 else 1
         stopped = False

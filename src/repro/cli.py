@@ -262,8 +262,6 @@ def cmd_schedule(args: argparse.Namespace) -> int:
                                workers=args.workers,
                                cache=not args.no_cache,
                                sparsity=sparsity,
-                               batch=not args.no_batch,
-                               batch_gen=not args.no_batch_gen,
                                cache_size=args.cache_size,
                                shard=_parse_shard(args.shard),
                                bound=not args.no_bound)
@@ -283,7 +281,6 @@ def cmd_schedule(args: argparse.Namespace) -> int:
             # cache (a pure accelerator — results are bit-identical).
             engine = SearchEngine(workers=args.workers, cache=warm,
                                   sparsity=sparsity,
-                                  batch=not args.no_batch,
                                   cache_size=args.cache_size)
     if engine is not None:
         with engine:
@@ -343,8 +340,7 @@ def compare_runners(workload: Workload, arch: Architecture,
     build their own, keeping their exact cold configuration.
     """
     workers, cache = options.workers, options.cache
-    sparsity, batch = options.sparsity, options.batch
-    batch_gen, cache_size = options.batch_gen, options.cache_size
+    sparsity, cache_size = options.sparsity, options.cache_size
     shard, bound = options.shard, options.bound
     return {
         "sunstone": lambda: schedule(workload, arch, options,
@@ -354,29 +350,24 @@ def compare_runners(workload: Workload, arch: Architecture,
                                                  workers=workers,
                                                  cache=cache,
                                                  sparsity=sparsity,
-                                                 batch=batch,
                                                  cache_size=cache_size),
         "dmazerunner-like": lambda: dmazerunner_search(workload, arch,
                                                        workers=workers,
                                                        cache=cache,
                                                        sparsity=sparsity,
-                                                       batch=batch,
-                                                       batch_gen=batch_gen,
                                                        cache_size=cache_size,
                                                        shard=shard,
                                                        bound=bound),
         "interstellar-like": lambda: interstellar_search(
             workload, arch, workers=workers, cache=cache,
-            sparsity=sparsity, batch=batch, batch_gen=batch_gen,
-            cache_size=cache_size, shard=shard, bound=bound),
+            sparsity=sparsity, cache_size=cache_size, shard=shard,
+            bound=bound),
         "cosa-like": lambda: cosa_search(workload, arch,
                                          sparsity=sparsity,
-                                         batch=batch,
                                          cache_size=cache_size),
         "gamma-like": lambda: gamma_search(workload, arch,
                                            workers=workers, cache=cache,
                                            sparsity=sparsity,
-                                           batch=batch,
                                            cache_size=cache_size),
     }
 
@@ -424,8 +415,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
     options = SchedulerOptions(workers=args.workers,
                                cache=not args.no_cache,
                                sparsity=sparsity,
-                               batch=not args.no_batch,
-                               batch_gen=not args.no_batch_gen,
                                cache_size=args.cache_size,
                                shard=_parse_shard(args.shard),
                                bound=not args.no_bound)
@@ -500,8 +489,6 @@ def cmd_network(args: argparse.Namespace) -> int:
     arch = build_architecture(args.arch, args.tech)
     options = SchedulerOptions(workers=args.workers,
                                cache=not args.no_cache,
-                               batch=not args.no_batch,
-                               batch_gen=not args.no_batch_gen,
                                cache_size=args.cache_size,
                                bound=not args.no_bound)
     journal = _open_journal(args, {
@@ -842,13 +829,6 @@ def make_parser() -> argparse.ArgumentParser:
                        help="evaluation worker processes (1 = in-process)")
         p.add_argument("--no-cache", action="store_true",
                        help="disable cost-result memoisation")
-        p.add_argument("--no-batch", action="store_true",
-                       help="disable vectorised cohort evaluation "
-                            "(repro.model.batch); results are identical")
-        p.add_argument("--no-batch-gen", action="store_true",
-                       help="disable vectorised candidate generation "
-                            "(repro.mapspace.batch); results are "
-                            "identical")
         p.add_argument("--no-bound", action="store_true",
                        help="disable analytic branch-and-bound pruning "
                             "(repro.mapspace.bounds); results are "
@@ -856,13 +836,12 @@ def make_parser() -> argparse.ArgumentParser:
                             "evaluated")
         p.add_argument("--cache-size", type=nonnegative_int, default=None,
                        metavar="N",
-                       help="entry cap for the result and partial-term "
-                            "caches (0 = unbounded; default per-cache "
-                            "bound)")
+                       help="entry cap for the result cache "
+                            "(0 = unbounded; default 200000)")
         p.add_argument("--profile", action="store_true",
                        help="print the per-stage evaluation profile "
                             "(model/generation/cache/pool time, "
-                            "partial-cache hit rate)")
+                            "vectorised share)")
 
     def add_shard_flag(p: argparse.ArgumentParser) -> None:
         p.add_argument("--shard", metavar="I/N", default=None,

@@ -235,7 +235,7 @@ def schedule_network(
         # a fresh one, closing it even if a layer search raises.
         with engine_scope(engine, workers=opts.workers, cache=opts.cache,
                           partial_reuse=opts.partial_reuse,
-                          sparsity=opts.sparsity, batch=opts.batch,
+                          sparsity=opts.sparsity,
                           cache_size=opts.cache_size) as shared_engine:
             if journal is not None:
                 warm = journal.load_cache_snapshot()

@@ -100,18 +100,8 @@ class SchedulerOptions:
     # for every (workers, cache) combination.
     workers: int = 1
     cache: bool = True
-    # Vectorised cohort evaluation (repro.model.batch) for cache-miss
-    # batches, and the entry cap shared by the result and partial-term
-    # caches (None = default bound, 0 = unbounded).  Both are
-    # behaviour-preserving knobs like workers/cache.
-    batch: bool = True
-    # Vectorised cohort *generation* (repro.mapspace.batch): per-step
-    # candidates stream to the engine as geometry cohorts and Mapping
-    # objects are built only for per-step winners and journal entries.
-    # Behaviour-preserving like batch/workers/cache; the scalar
-    # materialization path is used when off, and cohorts degrade to
-    # per-row materialization when numpy is unavailable.
-    batch_gen: bool = True
+    # Entry cap of the result cache (None = default bound, 0 =
+    # unbounded); behaviour-preserving like workers/cache.
     cache_size: int | None = None
     # Optional sparsity spec (repro.sparse) forwarded to every cost-model
     # evaluation.  None keeps the dense model bit-identical; the spec is
@@ -287,7 +277,6 @@ class SunstoneScheduler:
                 cache=self.options.cache,
                 partial_reuse=self.options.partial_reuse,
                 sparsity=self.options.sparsity,
-                batch=self.options.batch,
                 cache_size=self.options.cache_size,
             )
             self._owns_engine = True
@@ -305,7 +294,6 @@ class SunstoneScheduler:
                           cache=self.options.cache,
                           partial_reuse=self.options.partial_reuse,
                           sparsity=self.options.sparsity,
-                          batch=self.options.batch,
                           cache_size=self.options.cache_size) as engine:
             self._engine = engine
             self._owns_engine = owned
@@ -675,25 +663,16 @@ class SunstoneScheduler:
                         kept.append(child)
                 children = kept
             # Batch the whole level: the engine dedupes equal fingerprints
-            # and vectorises (or fans out) the misses, returning results
-            # in candidate order so ranking matches the serial path
-            # exactly.  With batch_gen, candidates stream as a geometry
-            # cohort and a Mapping is built only when a child improves
-            # the running best.
-            cohort: NestCohort | None = None
-            mappings: list[Mapping] | None = None
-            if self.options.batch_gen and len(children) >= 2:
-                cohort = NestCohort.from_nests(
-                    self.workload, self.arch,
-                    [self._completion_nests(child) for child in children])
-                engine.stats.add_stage_time(
-                    "generation", time.perf_counter() - level_start)
-                costs = engine.evaluate_cohort(cohort)
-            else:
-                mappings = [self._materialize(child) for child in children]
-                engine.stats.add_stage_time(
-                    "generation", time.perf_counter() - level_start)
-                costs = engine.evaluate_many(mappings)
+            # and vectorises the misses, returning results in candidate
+            # order so ranking matches the serial path exactly.
+            # Candidates stream as a nest cohort; a Mapping is built only
+            # when a child improves the running best.
+            cohort = NestCohort.from_nests(
+                self.workload, self.arch,
+                [self._completion_nests(child) for child in children])
+            engine.stats.add_stage_time(
+                "generation", time.perf_counter() - level_start)
+            costs = engine.evaluate_cohort(cohort)
             stats.evaluations += len(children)
             scored: list[tuple[float, _State]] = []
             for idx, (child, cost) in enumerate(zip(children, costs)):
@@ -712,9 +691,7 @@ class SunstoneScheduler:
                     continue
                 scored.append((value, child))
                 if best is None or value < best[0]:
-                    mapping = (mappings[idx] if mappings is not None
-                               else cohort.materialize(idx))
-                    best = (value, mapping, cost)
+                    best = (value, cohort.materialize(idx), cost)
             engine.stats.add_level_time(
                 self.arch.levels[level].name,
                 time.perf_counter() - level_start)
@@ -1190,37 +1167,16 @@ class SunstoneScheduler:
         return decisions.map(extend).enumerate(shard=self.options.shard)
 
     # ------------------------------------------------------------------
-    # estimation / materialisation
+    # completion of a partial schedule
     # ------------------------------------------------------------------
-    def _materialize(self, state: _State) -> Mapping:
-        """Complete a partial schedule: residual factors at the fallback
-        level (outermost for bottom-up partials, innermost for top-down)."""
-        temporal = [dict(t) for t in state.temporal]
-        sink = state.sink_level
-        for d, extent in state.frontier.items():
-            if extent > 1:
-                temporal[sink][d] = temporal[sink].get(d, 1) * extent
-        orders = []
-        for i in range(self.arch.num_levels):
-            if state.orders[i] is not None:
-                orders.append(list(state.orders[i]))
-            else:
-                orders.append(list(self.workload.dim_names))
-        return build_mapping(
-            self.workload,
-            self.arch,
-            temporal=temporal,
-            spatial=[dict(s) for s in state.spatial],
-            orders=orders,
-        )
-
     def _completion_factors(
         self, state: _State,
     ) -> tuple[list[dict], list[dict]]:
         """The fully-decided per-level (temporal, spatial) factor dicts
-        of the completion ``_materialize`` would build: frontier extents
-        parked at the sink level, residual factors pushed to the top,
-        mirroring ``build_mapping``."""
+        of a partial schedule's completion: frontier extents parked at
+        the sink level (outermost for bottom-up partials, innermost for
+        top-down), residual factors pushed to the top, mirroring
+        ``build_mapping``."""
         num = self.arch.num_levels
         temporal = [dict(t) for t in state.temporal]
         sink = state.sink_level
@@ -1244,13 +1200,13 @@ class SunstoneScheduler:
         return temporal, spatial
 
     def _completion_nests(self, state: _State) -> tuple[tuple, tuple]:
-        """The completed per-level nests ``_materialize`` would build,
-        without the ``Mapping``: ``(nests, spatials)`` where ``nests``
-        are temporal nest tuples (outermost first, trivial factors
-        included) and ``spatials`` sorted spatial factor tuples — the
-        exact ``LevelMapping`` contents of ``build_mapping``, so
-        ``NestCohort.materialize`` on this payload reproduces
-        ``self._materialize(state)`` bit-for-bit.
+        """The completed per-level nests of a partial schedule, without
+        the ``Mapping``: ``(nests, spatials)`` where ``nests`` are
+        temporal nest tuples (outermost first, trivial factors included;
+        undecided levels in workload dim order) and ``spatials`` sorted
+        spatial factor tuples — the exact ``LevelMapping`` contents
+        ``build_mapping`` would produce for the completion, which
+        ``NestCohort.materialize`` rebuilds bit-for-bit.
         """
         num = self.arch.num_levels
         temporal, spatial = self._completion_factors(state)
@@ -1266,14 +1222,6 @@ class SunstoneScheduler:
                                for d in order + missing))
             spatials.append(tuple(sorted(spatial[i].items())))
         return tuple(nests), tuple(spatials)
-
-    def _estimate(self, state: _State, stats: SchedulerStats
-                  ) -> tuple[float, Mapping, CostResult]:
-        mapping = self._materialize(state)
-        cost = self._get_engine().evaluate(mapping)
-        stats.evaluations += 1
-        value = cost.edp if self.options.objective == "edp" else cost.energy_pj
-        return value, mapping, cost
 
 
 def schedule(

@@ -1,19 +1,20 @@
-"""Evaluation-ready candidate cohorts: geometry matrices, not Mappings.
+"""Evaluation-ready candidate cohorts.
 
-The scalar pipeline builds a :class:`~repro.mapping.mapping.Mapping`
-dataclass per candidate only for :mod:`repro.model.batch` to immediately
-re-stage it as int64 factor matrices.  A :class:`Cohort` skips the
-round-trip: it carries the per-candidate temporal/spatial factor
-matrices (``(n, levels, dims)``) plus per-level loop-order sequences —
-exactly the staging the vectorized cost model consumes — and can still
-``materialize(i)`` the *i*-th candidate as a bona-fide ``Mapping``
-(bit-identical to what the scalar path would have built) for winners and
-checkpoint journal entries.
+A :class:`Cohort` is a batch of candidates the search engine evaluates
+as one.  It stages any subset of its rows as the int64 factor matrices
+(``(n, levels, dims)``) plus per-level loop-order sequences that the
+vectorised cost model reads, fingerprints a row without building a
+``Mapping``, and can still ``materialize(i)`` the *i*-th candidate as a
+bona-fide ``Mapping`` (bit-identical to what the scalar path would have
+built) for winners, checkpoint journal entries and the scalar fallback.
 
-Two concrete cohorts cover the two producers:
+Two concrete cohorts cover the two generators (the search engine wraps a
+plain ``Mapping`` list as a third):
 
 * :class:`NestCohort` — built by the beam schedulers from per-candidate
-  completed nests (:meth:`from_nests`);
+  completed nests (:meth:`from_nests`) and staged by
+  :func:`repro.model.batch.stage_nests`, the staging ``Mapping`` lists
+  share;
 * :class:`MatrixCohort` — built by :func:`full_space_cohorts`, which
   index-decodes the exhaustive full mapping space straight into
   matrices, in the exact historical enumeration order, shardable.
@@ -26,20 +27,15 @@ Everything degrades gracefully without numpy: ``geometry()`` and
 from __future__ import annotations
 
 import itertools
-from typing import Any, Iterator, Sequence
+from typing import Iterator, Sequence
 
+from .. import optional_numpy
 from ..arch.spec import Architecture
 from ..mapping.mapping import LevelMapping, Mapping
+from ..model.batch import evaluate_geometry, stage_nests
 from ..workloads.expression import Workload
 from .factor import FactorLattice
 from .spaces import DEFAULT_COHORT, check_shard
-
-try:  # numpy is optional everywhere in this repo
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on the no-numpy CI leg
-    _np = None
-
-HAVE_NUMPY = _np is not None
 
 # Spaces larger than this never take the index-decoded path (the
 # exhaustive driver's evaluation budget rejects them long before, but
@@ -68,32 +64,28 @@ class Cohort:
         the one the scalar path would have built."""
         raise NotImplementedError
 
-    def geometry(self):
-        """``(t_mat, s_mat, order_ids, order_table)`` or ``None``.
+    def geometry(self, indices: Sequence[int] | None = None):
+        """``(t_mat, s_mat, order_ids, order_table)`` of the selected
+        rows (every row by default), or ``None``.
 
-        ``t_mat``/``s_mat`` are ``(n, levels, dims)`` int64 matrices in
-        ``workload.dim_names`` column order; ``order_table[order_ids[i]]``
-        is row ``i``'s tuple of per-level loop-order dim sequences.
-        ``None`` when numpy is unavailable.
+        The layout of :func:`repro.model.batch.stage_nests`: ``(n,
+        levels, dims)`` int64 matrices in ``workload.dim_names`` column
+        order, and ``order_table[order_ids[i]]`` is row ``i``'s tuple of
+        per-level loop-order dim sequences.  ``None`` when numpy is
+        unavailable.
         """
         raise NotImplementedError
 
     def evaluate_rows(self, indices: Sequence[int], partial_reuse,
-                      sparsity, partial_cache):
+                      sparsity):
         """Vectorized evaluation of the selected rows (in order), or
         ``None`` when the geometry path is unavailable."""
-        geom = self.geometry()
+        geom = self.geometry(indices)
         if geom is None:
             return None
-        from ..model.batch import evaluate_geometry
-        t_mat, s_mat, order_ids, order_table = geom
-        idx = _np.asarray(list(indices), dtype=_np.int64)
-        return evaluate_geometry(
-            self.workload, self.arch,
-            t_mat[idx], s_mat[idx], order_ids[idx], order_table,
-            partial_reuse=partial_reuse, sparsity=sparsity,
-            partial_cache=partial_cache,
-        )
+        return evaluate_geometry(self.workload, self.arch, *geom,
+                                 partial_reuse=partial_reuse,
+                                 sparsity=sparsity)
 
 
 def _nontrivial_temporal(nest: Sequence[tuple[str, int]]) -> tuple:
@@ -118,8 +110,6 @@ class NestCohort(Cohort):
         self.workload = workload
         self.arch = arch
         self._candidates = list(candidates)
-        self._geometry = None
-        self._geometry_built = False
 
     @classmethod
     def from_nests(cls, workload: Workload, arch: Architecture,
@@ -144,38 +134,13 @@ class NestCohort(Cohort):
         ]
         return Mapping(self.workload, self.arch, levels)
 
-    def geometry(self):
-        if self._geometry_built:
-            return self._geometry
-        self._geometry_built = True
-        if _np is None or not self._candidates:
+    def geometry(self, indices: Sequence[int] | None = None):
+        if optional_numpy.np is None:
             return None
-        dims = self.workload.dim_names
-        pos = {d: j for j, d in enumerate(dims)}
-        num = self.arch.num_levels
-        n = len(self._candidates)
-        t_mat = _np.ones((n, num, len(dims)), dtype=_np.int64)
-        s_mat = _np.ones((n, num, len(dims)), dtype=_np.int64)
-        order_ids = _np.empty(n, dtype=_np.int64)
-        combo_ids: dict[tuple, int] = {}
-        order_table: list[tuple] = []
-        for i, (nests, spatials) in enumerate(self._candidates):
-            seqs = tuple(tuple(d for d, _ in nest) for nest in nests)
-            combo = combo_ids.get(seqs)
-            if combo is None:
-                combo = combo_ids[seqs] = len(order_table)
-                order_table.append(seqs)
-            order_ids[i] = combo
-            for level, nest in enumerate(nests):
-                for d, f in nest:
-                    if f != 1:
-                        t_mat[i, level, pos[d]] = f
-            for level, spatial in enumerate(spatials):
-                for d, f in spatial:
-                    if f != 1:
-                        s_mat[i, level, pos[d]] = f
-        self._geometry = (t_mat, s_mat, order_ids, order_table)
-        return self._geometry
+        rows = self._candidates
+        if indices is not None:
+            rows = [rows[i] for i in indices]
+        return stage_nests(self.workload, self.arch, rows)
 
 
 class MatrixCohort(Cohort):
@@ -232,8 +197,13 @@ class MatrixCohort(Cohort):
             levels.append(LevelMapping(temporal=nest, spatial=spatial))
         return Mapping(self.workload, self.arch, levels)
 
-    def geometry(self):
-        return (self._t_mat, self._s_mat, self._order_ids,
+    def geometry(self, indices: Sequence[int] | None = None):
+        if indices is None:
+            return (self._t_mat, self._s_mat, self._order_ids,
+                    self._order_table)
+        np = optional_numpy.np
+        idx = np.asarray(indices, dtype=np.int64)
+        return (self._t_mat[idx], self._s_mat[idx], self._order_ids[idx],
                 self._order_table)
 
 
@@ -264,7 +234,7 @@ class SpaceDecoder:
         self.slots = assignment_slots(arch)
         self.available = False
         self.total = 0
-        if _np is None:
+        if optional_numpy.np is None:
             return
         lattices = [FactorLattice(d, workload.dims[d], self.slots)
                     for d in self.dims]
@@ -291,6 +261,7 @@ class SpaceDecoder:
     def decode(self, ks) -> "MatrixCohort":
         """Cohort for the rows at global indices ``ks`` (int64 array,
         ascending), in that order."""
+        np = optional_numpy.np
         num = self.num
         dims = self.dims
         m = len(self.order_items)
@@ -298,11 +269,11 @@ class SpaceDecoder:
         digits = []
         rem = ks
         for radix in reversed(self.radices):
-            rem, digit = _np.divmod(rem, radix)
+            rem, digit = np.divmod(rem, radix)
             digits.append(digit)
         digits.reverse()
-        t_mat = _np.ones((n, num, len(dims)), dtype=_np.int64)
-        s_mat = _np.ones((n, num, len(dims)), dtype=_np.int64)
+        t_mat = np.ones((n, num, len(dims)), dtype=np.int64)
+        s_mat = np.ones((n, num, len(dims)), dtype=np.int64)
         for j, matrix in enumerate(self.matrices):
             block = matrix[digits[j]]  # (n, num_slots)
             for s_idx, (kind, level) in enumerate(self.slots):
@@ -311,10 +282,10 @@ class SpaceDecoder:
                     t_mat[:, level, j] = col
                 else:
                     s_mat[:, level, j] = col
-        combo = _np.zeros(n, dtype=_np.int64)
+        combo = np.zeros(n, dtype=np.int64)
         for level in range(num):
             combo = combo * m + digits[len(dims) + level]
-        uniq, inv = _np.unique(combo, return_inverse=True)
+        uniq, inv = np.unique(combo, return_inverse=True)
         order_table = []
         for value in uniq.tolist():
             # least-significant digit is the innermost-listed order axis
@@ -326,7 +297,7 @@ class SpaceDecoder:
             decoded.reverse()
             order_table.append(tuple(self.order_items[d] for d in decoded))
         return MatrixCohort(self.workload, self.arch, t_mat, s_mat,
-                            inv.astype(_np.int64), order_table)
+                            inv.astype(np.int64), order_table)
 
 
 def full_space_cohorts(
@@ -353,9 +324,10 @@ def full_space_cohorts(
 
 
 def _decode_cohorts(decoder, shard, batch_size):
+    np = optional_numpy.np
     start, step = (0, 1) if shard is None else shard
     total = decoder.total
     for block_start in range(start, total, step * batch_size):
         block_end = min(total, block_start + step * batch_size)
-        ks = _np.arange(block_start, block_end, step, dtype=_np.int64)
+        ks = np.arange(block_start, block_end, step, dtype=np.int64)
         yield decoder.decode(ks)

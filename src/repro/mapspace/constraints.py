@@ -18,14 +18,10 @@ from __future__ import annotations
 import math
 from typing import Callable, Mapping, Sequence
 
+from .. import optional_numpy
 from ..arch.spec import Architecture
 from ..core.tiling_tree import placement_fits, tile_fits
 from ..workloads.expression import Workload
-
-try:  # numpy is optional everywhere in this repo
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on the no-numpy CI leg
-    _np = None
 
 
 def _with_batch(predicate, batch_fn):
@@ -88,22 +84,23 @@ def divisibility(
         return True
 
     def batch(items: Sequence[Mapping[str, int]]) -> list[bool]:
-        if _np is None or len(items) < 8:
+        np = optional_numpy.np
+        if np is None or len(items) < 8:
             return [predicate(factors) for factors in items]
         dims = sorted({dim for factors in items for dim in factors})
         if not dims:
             return [True] * len(items)
-        mat = _np.ones((len(items), len(dims)), dtype=_np.int64)
+        mat = np.ones((len(items), len(dims)), dtype=np.int64)
         pos = {dim: j for j, dim in enumerate(dims)}
         for i, factors in enumerate(items):
             for dim, factor in factors.items():
                 mat[i, pos[dim]] = factor
-        rem = _np.array([remaining.get(dim, 1) for dim in dims],
-                        dtype=_np.int64)
-        ok = (mat >= 1) & (rem[None, :] % _np.maximum(mat, 1) == 0)
+        rem = np.array([remaining.get(dim, 1) for dim in dims],
+                       dtype=np.int64)
+        ok = (mat >= 1) & (rem[None, :] % np.maximum(mat, 1) == 0)
         # A dim absent from an item's dict contributes factor 1, which
         # always passes — the ones-initialised matrix encodes that.
-        return _np.all(ok, axis=1).tolist()
+        return np.all(ok, axis=1).tolist()
 
     return _with_batch(predicate, batch)
 

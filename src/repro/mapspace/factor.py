@@ -17,12 +17,8 @@ import itertools
 import math
 from typing import Any, Iterator, Sequence
 
+from .. import optional_numpy
 from .spaces import DEFAULT_COHORT, Space, check_shard
-
-try:  # numpy is optional everywhere in this repo
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on the no-numpy CI leg
-    _np = None
 
 # Above this many raw prime placements (slots ** num_primes) the
 # vectorized lattice would materialise an unreasonably large staging
@@ -118,23 +114,24 @@ class FactorLattice(Space):
         in stream order.  Returns ``None`` when numpy is unavailable or
         the raw placement count exceeds the staging guard.
         """
-        if _np is None:
+        np = optional_numpy.np
+        if np is None:
             return None
         slots = len(self.slots)
         num_primes = len(self.primes)
         if not num_primes:
-            return _np.ones((1, slots), dtype=_np.int64)
+            return np.ones((1, slots), dtype=np.int64)
         placements = slots ** num_primes
         if placements > _MAX_VECTOR_PLACEMENTS:
             return None
-        idx = _np.arange(placements, dtype=_np.int64)
-        splits = _np.ones((placements, slots), dtype=_np.int64)
+        idx = np.arange(placements, dtype=np.int64)
+        splits = np.ones((placements, slots), dtype=np.int64)
         for j, prime in enumerate(self.primes):
             digit = (idx // (slots ** (num_primes - 1 - j))) % slots
             # scatter-multiply prime j into its chosen slot per placement
-            _np.multiply.at(splits, (idx, digit), prime)
-        _, first = _np.unique(splits, axis=0, return_index=True)
-        return splits[_np.sort(first)]
+            np.multiply.at(splits, (idx, digit), prime)
+        _, first = np.unique(splits, axis=0, return_index=True)
+        return splits[np.sort(first)]
 
     def enumerate_batch(
         self,

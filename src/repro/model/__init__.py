@@ -4,7 +4,7 @@ from .accesses import AccessCounts, LevelAccesses, TensorTraffic, count_accesses
 from .batch import HAVE_NUMPY, evaluate_batch
 from .cost import INVALID_COST, CostResult, edp, evaluate, prefix_energy
 from .reference import ReferenceCounts, simulate_fills
-from .terms import ModelInfo, PartialEvalCache, model_info
+from .terms import ModelInfo, model_info
 from .timing import TimingResult, analyze_timing
 
 __all__ = [
@@ -20,7 +20,6 @@ __all__ = [
     "prefix_energy",
     "INVALID_COST",
     "ModelInfo",
-    "PartialEvalCache",
     "model_info",
     "ReferenceCounts",
     "simulate_fills",

@@ -42,8 +42,7 @@ from ..mapping.mapping import Mapping
 from ..sparse.saf import compute_scales, traffic_scale
 from ..sparse.spec import SparsitySpec
 from ..workloads.expression import IndexExpr, TensorRef
-from .terms import MappingView, ModelInfo, PartialEvalCache, model_info, \
-    pair_term
+from .terms import MappingView, ModelInfo, model_info, pair_term
 
 
 @dataclass
@@ -197,9 +196,7 @@ def _partial_reuse_words(
 
 def count_accesses(mapping: Mapping, partial_reuse: bool = True,
                    sparsity: SparsitySpec | None = None, *,
-                   info: ModelInfo | None = None,
-                   partial_cache: PartialEvalCache | None = None
-                   ) -> AccessCounts:
+                   info: ModelInfo | None = None) -> AccessCounts:
     """Count machine-wide reads/writes per level for ``mapping``.
 
     ``sparsity`` optionally scales the dense counts into expected sparse
@@ -212,17 +209,13 @@ def count_accesses(mapping: Mapping, partial_reuse: bool = True,
     have are ignored.
 
     ``info`` optionally supplies pre-hoisted per-(workload, arch)
-    invariants; ``partial_cache`` memoises the per-(tensor, storage-pair)
-    contribution terms across mappings (see :mod:`repro.model.terms`).
-    Both are pure accelerators: every count is bit-identical with or
-    without them.
+    invariants (see :mod:`repro.model.terms`), a pure accelerator: every
+    count is bit-identical with or without it.
     """
     arch = mapping.arch
     workload = mapping.workload
     if info is None or info.workload is not workload or info.arch is not arch:
         info = model_info(workload, arch)
-    if partial_cache is not None:
-        partial_cache.check_config(partial_reuse, sparsity)
     view = MappingView(mapping, info)
 
     num = info.num_levels
@@ -265,9 +258,7 @@ def count_accesses(mapping: Mapping, partial_reuse: bool = True,
         # ---- transfers between adjacent storage levels ----
         for child, parent in tinfo.pairs:
             fills, distinct, fill_words, pair_words = pair_term(
-                info, tinfo, view, child, partial_reuse, spec,
-                partial_cache,
-            )
+                info, tinfo, view, child, partial_reuse, spec)
             between_idx, between_all = view.between(tinfo, child, parent)
             above = view.inst_above[parent]
 

@@ -1,10 +1,14 @@
-"""Vectorised cohort evaluation of mappings (``evaluate_batch``).
+"""Vectorised cohort evaluation: the cost model over factor matrices.
 
 A Sunstone level sweep evaluates dozens of sibling candidates that share
 one workload and architecture.  This module lays such a cohort out as
-float64 numpy arrays — one row per candidate, one column per memory
-level — and performs the energy/cycle rollups of
-:func:`repro.model.cost.evaluate` with elementwise array ops.
+int64 factor matrices — ``(n, levels, dims)``, one row per candidate —
+and performs the energy/cycle rollups of
+:func:`repro.model.cost.evaluate` with elementwise array ops.  The
+beam schedulers' nest cohorts and ready-made ``Mapping`` lists
+(:func:`evaluate_batch`, the engine's ``evaluate_many``, both through
+:func:`stage_mappings`) are staged by one function, :func:`stage_nests`;
+the exhaustive decoder produces the same matrices directly.
 
 Bit-identity contract
 ---------------------
@@ -13,15 +17,16 @@ bit-identical to the scalar path:
 
 * the per-(tensor, storage-pair) *terms* (fills, window-overlap fill
   words, sparse traffic scaling) come from the very same
-  :func:`repro.model.terms.pair_term` the scalar path uses — exact
+  :func:`repro.model.terms._compute_term` the scalar path uses — exact
   integer arithmetic plus Python-float conversions at fixed points;
 * every floating-point operation downstream of the terms is elementwise
   (``+``, ``*``, ``/``, ``maximum``) in exactly the scalar accumulation
   order, and IEEE-754 elementwise float64 ops round identically to the
   equivalent Python-float ops — no ``np.sum`` (pairwise summation) or
   other reassociation anywhere;
-* numpy absent, or the cohort too small to be worth staging, falls back
-  to calling the scalar :func:`~repro.model.cost.evaluate` per mapping.
+* numpy absent, a cohort smaller than :data:`MIN_BATCH`, or a
+  ``Mapping`` list mixing workloads or architectures, falls back to
+  calling the scalar :func:`~repro.model.cost.evaluate` per mapping.
 
 ``tests/test_model_batch.py`` pins the contract with seeded hypothesis
 cases across window/halo workloads, bypass configs and sparsity specs.
@@ -29,137 +34,166 @@ cases across window/halo workloads, bypass configs and sparsity specs.
 
 from __future__ import annotations
 
+from typing import Iterable, Sequence
+
+from .. import optional_numpy
 from ..mapping.mapping import Mapping
 from ..sparse.spec import SparsitySpec
 from .cost import CostResult, evaluate
-from .terms import (MappingView, ModelInfo, PartialEvalCache,
-                    _compute_term, _level_problems, model_info)
+from .terms import ModelInfo, _compute_term, _level_problems, model_info
 
-try:  # numpy is an optional extra; the scalar fallback is bit-identical
-    import numpy as _np
-except Exception:  # pragma: no cover - exercised by the no-numpy CI leg
-    _np = None
+# Whether numpy is installed, for reports; evaluation paths read the
+# switch optional_numpy.np when called.
+HAVE_NUMPY = optional_numpy.np is not None
 
-HAVE_NUMPY = _np is not None
+# Fewest rows worth staging as matrices: below this the scalar model is
+# faster (measured in docs/PERF.md: sweep cohorts break even at 7-8
+# rows).  The search engine and evaluate_batch share it, so
+# "vectorised" counts exactly the rows the array path ran.
+MIN_BATCH = 8
 
-# Below this cohort size the array staging costs more than it saves.
-MIN_BATCH = 4
+
+def mapping_nests(mapping: Mapping) -> tuple[tuple, tuple]:
+    """``(nests, spatials)`` of ``mapping``: the row form
+    :func:`stage_nests` reads."""
+    levels = mapping.levels
+    return (tuple(lvl.temporal for lvl in levels),
+            tuple(lvl.spatial for lvl in levels))
+
+
+def stage_nests(workload, arch, candidates: Iterable[tuple]):
+    """Stage a cohort as ``(t_mat, s_mat, order_ids, order_table)``.
+
+    ``candidates`` yields one ``(nests, spatials)`` pair per row: per
+    level, the temporal loops outermost first and the spatial unrolling,
+    both as ``(dim, factor)`` pairs exactly as a
+    :class:`~repro.mapping.mapping.LevelMapping` holds them (trivial
+    factors allowed).  ``t_mat``/``s_mat`` are ``(n, levels, dims)``
+    int64 matrices in ``workload.dim_names`` column order, whose
+    cumulative products along the level axis reproduce
+    ``Mapping.cumulative_sizes`` exactly; ``order_table[order_ids[k]]``
+    is row ``k``'s tuple of per-level loop-order dim sequences.
+    """
+    np = optional_numpy.np
+    pos = {d: j for j, d in enumerate(workload.dim_names)}
+    one_row = [1] * len(pos)
+    flat_t: list[int] = []
+    flat_s: list[int] = []
+    order_ids: list[int] = []
+    combo_ids: dict[tuple, int] = {}
+    order_table: list[tuple] = []
+    for nests, spatials in candidates:
+        seqs = []
+        for nest in nests:
+            row = one_row.copy()
+            seq = []
+            for d, f in nest:
+                seq.append(d)
+                if f != 1:
+                    row[pos[d]] = f
+            flat_t.extend(row)
+            seqs.append(tuple(seq))
+        seqs = tuple(seqs)
+        combo = combo_ids.get(seqs)
+        if combo is None:
+            combo = combo_ids[seqs] = len(order_table)
+            order_table.append(seqs)
+        order_ids.append(combo)
+        for spatial in spatials:
+            row = one_row.copy()
+            for d, f in spatial:
+                if f != 1:
+                    row[pos[d]] = f
+            flat_s.extend(row)
+    shape = (len(order_ids), arch.num_levels, len(pos))
+    return (np.array(flat_t, dtype=np.int64).reshape(shape),
+            np.array(flat_s, dtype=np.int64).reshape(shape),
+            np.array(order_ids, dtype=np.int64),
+            order_table)
+
+
+def stage_mappings(workload, arch, mappings: Sequence[Mapping]):
+    """Stage ``Mapping`` rows on ``workload``/``arch`` with
+    :func:`stage_nests`, or ``None`` when any row is on another workload
+    or architecture: a mixed list has no one geometry and runs the
+    scalar model."""
+    if any(m.workload is not workload or m.arch is not arch
+           for m in mappings):
+        return None
+    return stage_nests(workload, arch, map(mapping_nests, mappings))
 
 
 def evaluate_batch(
     mappings: list[Mapping],
     partial_reuse: bool = True,
     sparsity: SparsitySpec | None = None,
-    partial_cache: PartialEvalCache | None = None,
 ) -> list[CostResult]:
-    """Evaluate a cohort of mappings, vectorising where profitable.
+    """Evaluate a list of mappings, vectorising where profitable.
 
-    Mappings may mix workloads/architectures; candidates are grouped by
-    (workload, architecture) object pair and each group large enough is
-    evaluated with array rollups.  Results are returned in input order
-    and are bit-identical to ``[evaluate(m, ...) for m in mappings]``.
+    The search engine's rule for a ``Mapping`` list: with numpy, a list
+    of at least :data:`MIN_BATCH` rows on one workload and architecture
+    is staged by :func:`stage_mappings` and evaluated by
+    :func:`evaluate_geometry`; anything else runs the scalar model per
+    mapping.  Results are bit-identical to ``[evaluate(m, ...) for m in
+    mappings]``.
     """
-    if partial_cache is not None:
-        partial_cache.check_config(partial_reuse, sparsity)
-    if _np is None or len(mappings) < MIN_BATCH:
-        return [
-            evaluate(m, partial_reuse=partial_reuse, sparsity=sparsity,
-                     partial_cache=partial_cache)
-            for m in mappings
-        ]
-    results: list[CostResult | None] = [None] * len(mappings)
-    groups: dict[tuple[int, int], list[int]] = {}
-    for k, m in enumerate(mappings):
-        groups.setdefault((id(m.workload), id(m.arch)), []).append(k)
-    for indices in groups.values():
-        first = mappings[indices[0]]
-        if len(indices) < MIN_BATCH:
-            for k in indices:
-                results[k] = evaluate(
-                    mappings[k], partial_reuse=partial_reuse,
-                    sparsity=sparsity, partial_cache=partial_cache,
-                )
-            continue
-        info = model_info(first.workload, first.arch)
-        group = [mappings[k] for k in indices]
-        for k, res in zip(indices,
-                          _evaluate_group(group, info, partial_reuse,
-                                          sparsity, partial_cache)):
-            results[k] = res
-    return results  # type: ignore[return-value]
+    staged = None
+    if optional_numpy.np is not None and len(mappings) >= MIN_BATCH:
+        workload, arch = mappings[0].workload, mappings[0].arch
+        staged = stage_mappings(workload, arch, mappings)
+    if staged is None:
+        return [evaluate(m, partial_reuse=partial_reuse, sparsity=sparsity)
+                for m in mappings]
+    return evaluate_geometry(workload, arch, *staged,
+                             partial_reuse=partial_reuse, sparsity=sparsity)
+
+
+def evaluate_geometry(
+    workload,
+    arch,
+    t_mat,
+    s_mat,
+    order_ids,
+    order_table,
+    partial_reuse: bool = True,
+    sparsity: SparsitySpec | None = None,
+) -> list[CostResult]:
+    """Evaluate a cohort given as the factor matrices of
+    :func:`stage_nests`.
+
+    Results are bit-identical to materializing each candidate as a
+    ``Mapping`` and calling the scalar :func:`~repro.model.cost.evaluate`.
+    """
+    if optional_numpy.np is None:
+        raise RuntimeError("evaluate_geometry requires numpy")
+    geo = _CohortGeometry(model_info(workload, arch), t_mat, s_mat,
+                          order_ids, order_table)
+    return _rollup(geo, partial_reuse, sparsity)
 
 
 class _CohortGeometry:
-    """Exact int64 staging of one cohort's loop-bound geometry.
+    """Exact int64 geometry of one cohort, derived from its factor
+    matrices.
 
-    The per-level temporal/spatial factors of every candidate are laid
-    out as ``(n, levels, dims)`` int64 arrays whose cumulative products
-    along the level axis reproduce ``Mapping.cumulative_sizes`` — the
-    same integers, so every fingerprint built from them matches the
-    scalar path's keys exactly.  Spans and suffix runs are staged
-    lazily per requested level.
+    The cumulative products along the level axis reproduce
+    ``Mapping.cumulative_sizes`` — the same integers, so every term
+    fingerprint built from them matches the scalar path's exactly.
+    Spans and suffix runs are derived lazily per requested level.
     """
 
-    __slots__ = ("views", "info", "n", "cum_t", "cum_s", "t_from",
-                 "_spans", "_runs", "_sp_cols", "_t_mat", "_order_ids",
-                 "_order_table")
+    __slots__ = ("info", "n", "cum_t", "cum_s", "t_from", "sp_all",
+                 "sp_counts", "_t_mat", "_order_ids", "_order_table",
+                 "_loops", "_spans", "_runs")
 
-    def __init__(self, views: list[MappingView],
-                 mappings: list[Mapping], info: ModelInfo) -> None:
-        np = _np
-        self.views = views
+    def __init__(self, info: ModelInfo, t_mat, s_mat, order_ids,
+                 order_table) -> None:
+        np = optional_numpy.np
         self.info = info
-        n = len(mappings)
+        n = int(t_mat.shape[0])
         self.n = n
         num = info.num_levels
-        nd = len(info.dim_names)
-        pos = info.dim_index
-        one_row = [1] * nd
-        flat_t: list[int] = []
-        flat_s: list[int] = []
-        for m in mappings:
-            for lvl in m.levels:
-                row = one_row.copy()
-                for d, f in lvl._nontrivial_temporal:
-                    row[pos[d]] = f
-                flat_t.extend(row)
-                row = one_row.copy()
-                for d, f in lvl._nontrivial_spatial:
-                    row[pos[d]] = f
-                flat_s.extend(row)
-        shape = (n, num, nd)
-        self.cum_t = np.cumprod(
-            np.array(flat_t, dtype=np.int64).reshape(shape), axis=1)
-        self.cum_s = np.cumprod(
-            np.array(flat_s, dtype=np.int64).reshape(shape), axis=1)
-        self.t_from = np.array([v.t_from for v in views], dtype=np.int64)
-        self._spans: dict[int, object] = {}
-        self._runs: dict[int, object] = {}
-        self._sp_cols = None
-        self._t_mat = None
-        self._order_ids = None
-        self._order_table = None
-
-    @classmethod
-    def from_arrays(cls, info: ModelInfo, t_mat, s_mat, order_ids,
-                    order_table) -> "_CohortGeometry":
-        """Geometry straight from ``(n, levels, dims)`` factor matrices.
-
-        ``t_mat``/``s_mat`` columns follow ``info.dim_names``;
-        ``order_table[order_ids[k]]`` gives candidate ``k``'s per-level
-        loop-order dim sequences (trivial factors included — they mask
-        out exactly like the nontrivial-only nests of the views path).
-        No ``Mapping`` objects exist anywhere on this path.
-        """
-        np = _np
-        geo = cls.__new__(cls)
-        geo.views = None
-        geo.info = info
-        n = int(t_mat.shape[0])
-        geo.n = n
-        num = info.num_levels
-        geo.cum_t = np.cumprod(t_mat, axis=1)
-        geo.cum_s = np.cumprod(s_mat, axis=1)
+        self.cum_t = np.cumprod(t_mat, axis=1)
+        self.cum_s = np.cumprod(s_mat, axis=1)
         # t_from[l] = product of every temporal bound at levels >= l;
         # the per-level product over the dim axis equals the nest's
         # _temporal_product exactly (absent dims contribute 1).
@@ -169,29 +203,17 @@ class _CohortGeometry:
         for level in range(num - 1, -1, -1):
             acc = acc * tp[:, level]
             t_from[:, level] = acc
-        geo.t_from = t_from
-        geo._t_mat = t_mat
-        geo._order_ids = order_ids
-        geo._order_table = order_table
-        geo._spans = {}
-        geo._runs = {}
-        geo._sp_cols = (
-            np.prod(s_mat, axis=2, dtype=np.int64),
-            (s_mat > 1).sum(axis=2).astype(np.int64),
-        )
-        return geo
-
-    def sp_cols(self):
-        """(n, levels) spatial-size and nontrivial-unroll-count arrays
-        (the first two fingerprint columns of the violation checks)."""
-        out = self._sp_cols
-        if out is None:
-            out = (_np.array([v.sp_all for v in self.views],
-                             dtype=_np.int64),
-                   _np.array([v.sp_counts for v in self.views],
-                             dtype=_np.int64))
-            self._sp_cols = out
-        return out
+        self.t_from = t_from
+        # (n, levels) spatial size and nontrivial-unroll count: the first
+        # two fingerprint columns of the violation checks.
+        self.sp_all = np.prod(s_mat, axis=2, dtype=np.int64)
+        self.sp_counts = (s_mat > 1).sum(axis=2).astype(np.int64)
+        self._t_mat = t_mat
+        self._order_ids = order_ids
+        self._order_table = order_table
+        self._loops = None
+        self._spans: dict[int, object] = {}
+        self._runs: dict[int, object] = {}
 
     def spans(self, level: int):
         """Tile spans ``(n, dims)`` of one level-``level`` instance:
@@ -204,88 +226,90 @@ class _CohortGeometry:
             self._spans[level] = out
         return out
 
+    def loops(self):
+        """``(n, levels, width)`` column indices of every row's temporal
+        loops, innermost first within each level.  Slots past a level's
+        nest point at column ``dims`` of :meth:`runs`' padded factor
+        matrix, whose bound is 1."""
+        out = self._loops
+        if out is None:
+            np = optional_numpy.np
+            pos = self.info.dim_index
+            pad = len(pos)
+            width = max((len(seq) for seqs in self._order_table
+                         for seq in seqs), default=0)
+            table = [[[pos.get(d, pad) for d in reversed(seq)]
+                      + [pad] * (width - len(seq)) for seq in seqs]
+                     for seqs in self._order_table]
+            out = np.array(table, dtype=np.intp).reshape(
+                len(table), self.info.num_levels, width)[self._order_ids]
+            self._loops = out
+        return out
+
     def runs(self, child: int):
         """``(n, tensors, 3)`` int64: per tensor the trailing temporal
         run above ``child`` as (trailing product, innermost relevant
-        dim index or -1, its bound), from the shared suffix walks."""
-        out = self._runs.get(child)
-        if out is None:
-            if self.views is not None:
-                pos = self.info.dim_index
-                out = _np.array(
-                    [[(r[1], pos.get(r[2], -1), r[3])
-                      for r in v.suffix_info(child)] for v in self.views],
-                    dtype=_np.int64)
-            else:
-                out = self._runs_from_arrays(child)
-            self._runs[child] = out
-        return out
+        dim index or -1, its bound).
 
-    def _runs_from_arrays(self, child: int):
-        """Vectorized suffix walk over the factor matrices.
-
-        Mirrors ``MappingView.suffix_info`` exactly: walk the loops
-        above ``child`` innermost-first, per tensor record the trailing
-        bound product *before* the first nontrivial loop over one of its
-        indexing dims (plus that loop's dim and bound).  The walk runs
-        over the full per-level order sequences; trivial bounds multiply
-        1 into the trailing product (a no-op) and are masked out of the
-        found check — identical to walking the nontrivial-only nests.
+        The scalar path's per-mapping ``suffix_info`` walk, for every row at
+        once: lay the loops above ``child`` out innermost-first, take the
+        exclusive running product of their bounds, and per tensor pick
+        the first nontrivial loop over one of its indexing dims.  Trivial
+        and padding loops multiply 1 into the product and never match,
+        exactly as if walking the nontrivial-only nests.
         """
-        np = _np
+        out = self._runs.get(child)
+        if out is not None:
+            return out
+        np = optional_numpy.np
         info = self.info
-        tensors = info.tensors
-        pos = info.dim_index
-        num = info.num_levels
-        t_mat = self._t_mat
-        out = np.empty((self.n, len(tensors), 3), dtype=np.int64)
+        n = self.n
+        pad = len(info.dim_names)
+        out = np.empty((n, len(info.tensors), 3), dtype=np.int64)
         out[:, :, 0] = 1
         out[:, :, 1] = -1
         out[:, :, 2] = 1
-        order_ids = self._order_ids
-        for combo in np.unique(order_ids).tolist():
-            rows = np.nonzero(order_ids == combo)[0]
-            seqs = self._order_table[combo]
-            trailing = np.ones(len(rows), dtype=np.int64)
-            found = np.zeros((len(rows), len(tensors)), dtype=bool)
-            for level in range(child + 1, num):
-                if found.all():
-                    break
-                seq = seqs[level] if level < len(seqs) else ()
-                for d in reversed(seq):
-                    j = pos.get(d, -1)
-                    if j < 0:
-                        continue
-                    f = t_mat[rows, level, j]
-                    active = f > 1
-                    if active.any():
-                        for tinfo in tensors:
-                            if d not in tinfo.indexing:
-                                continue
-                            ti = tinfo.index
-                            newly = active & ~found[:, ti]
-                            if newly.any():
-                                sel = rows[newly]
-                                out[sel, ti, 0] = trailing[newly]
-                                out[sel, ti, 1] = j
-                                out[sel, ti, 2] = f[newly]
-                                found[:, ti] |= newly
-                    trailing = trailing * f
+        above = info.num_levels - child - 1
+        loops = self.loops()
+        if above > 0 and loops.shape[2] > 0:
+            width = loops.shape[2]
+            cols = loops[:, child + 1:, :].reshape(n, above * width)
+            # Flat offsets into the padded (levels, dims + 1) factors.
+            offsets = np.repeat(
+                np.arange(child + 1, info.num_levels) * (pad + 1), width)
+            padded = np.ones((n, info.num_levels, pad + 1), dtype=np.int64)
+            padded[:, :, :pad] = self._t_mat
+            bounds = np.take_along_axis(
+                padded.reshape(n, -1), cols + offsets, axis=1)
+            trailing = np.ones_like(bounds)
+            np.cumprod(bounds[:, :-1], axis=1, out=trailing[:, 1:])
+            rows = np.arange(n)
+            nontrivial = bounds > 1
+            for tinfo in info.tensors:
+                relevant = np.zeros(pad + 1, dtype=bool)
+                relevant[list(tinfo.rel_idx)] = True
+                hit = nontrivial & relevant[cols]
+                first = hit.argmax(axis=1)
+                found = hit[rows, first]
+                ti = tinfo.index
+                out[:, ti, 0] = np.where(found, trailing[rows, first], 1)
+                out[:, ti, 1] = np.where(found, cols[rows, first], -1)
+                out[:, ti, 2] = np.where(found, bounds[rows, first], 1)
+        self._runs[child] = out
         return out
 
 
-def _pair_term_cols(info, tinfo, child, partial_reuse, spec, cache, geo,
-                    idxb):
+def _pair_term_cols(info, tinfo, child, partial_reuse, spec, geo, idxb):
     """Term columns of one (tensor, child) for a whole cohort.
 
-    Builds the fingerprint rows as int64 columns, dedupes them with
-    ``np.unique`` and runs :func:`~repro.model.terms._compute_term` (and
-    the shared cache probe) once per *distinct* fingerprint — sweep
-    cohorts repeat fingerprints heavily.  Returns the per-candidate
-    ``(fills, distinct, fill_words, pair_words)`` columns, scattered
-    back exactly (integer/float64 gathers reorder nothing).
+    Builds the term fingerprint rows as int64 columns and runs
+    :func:`~repro.model.terms._compute_term` once per *distinct*
+    fingerprint — sweep cohorts repeat fingerprints heavily.  Returns
+    the per-candidate ``(fills, distinct, fill_words, pair_words)``
+    columns, scattered back exactly (integer/float64 gathers reorder
+    nothing).
     """
-    np = _np
+    np = optional_numpy.np
     num = info.num_levels
     rel = tinfo.rel_dims
     nrel = len(rel)
@@ -301,11 +325,7 @@ def _pair_term_cols(info, tinfo, child, partial_reuse, spec, cache, geo,
     inner_bound = np.where(trivial, 1, run[:, 2])
     key_mat = np.column_stack([sub, fills, inner_id, inner_bound, t_rel])
 
-    token = info.token
-    tindex = tinfo.index
     dim_names = info.dim_names
-    entries = cache._entries if cache is not None else None
-    hits = misses = 0
     local: dict[tuple, int] = {}
     local_get = local.get
     inverse: list[int] = []
@@ -320,24 +340,11 @@ def _pair_term_cols(info, tinfo, child, partial_reuse, spec, cache, geo,
         if slot is None:
             spans_row = row[:nrel]
             fills_u, inner_id_u, inner_bound_u, t_rel_u = row[nrel:]
-            sizes_key = tuple(spans_row)
             inner_dim = dim_names[inner_id_u] if inner_id_u >= 0 else None
-            term = None
-            if entries is not None:
-                key = (token, tindex, child, sizes_key, fills_u,
-                       inner_dim, inner_bound_u, t_rel_u)
-                term = entries.get(key)
-                if term is not None:
-                    entries.move_to_end(key)
-                    hits += 1
-            if term is None:
-                sizes = dict(zip(rel, spans_row))
-                term = _compute_term(info, tinfo, sizes, sizes_key,
-                                     fills_u, inner_dim, inner_bound_u,
-                                     t_rel_u, partial_reuse, spec)
-                if entries is not None:
-                    misses += 1
-                    entries[key] = term
+            term = _compute_term(info, tinfo, dict(zip(rel, spans_row)),
+                                 tuple(spans_row), fills_u, inner_dim,
+                                 inner_bound_u, t_rel_u, partial_reuse,
+                                 spec)
             slot = len(d_fills)
             local[kt] = slot
             d_fills.append(term[0])
@@ -345,13 +352,6 @@ def _pair_term_cols(info, tinfo, child, partial_reuse, spec, cache, geo,
             d_fw.append(term[2])
             d_pw.append(term[3])
         inv_append(slot)
-    if cache is not None:
-        cache.hits += hits
-        cache.misses += misses
-        if cache.max_entries is not None:
-            while len(entries) > cache.max_entries:
-                entries.popitem(last=False)
-                cache.evictions += 1
     if len(d_fills) == 1:
         # One fingerprint for the whole cohort — broadcast it.
         n = len(inverse)
@@ -369,15 +369,14 @@ def _pair_term_cols(info, tinfo, child, partial_reuse, spec, cache, geo,
 def _violations_cols(info, geo):
     """Per-candidate violation lists, one check per distinct profile.
 
-    Mirrors ``mapping_violations`` (same strings, same order) but builds
+    Mirrors ``Mapping.validate`` (same strings, same order) but builds
     one fused fingerprint row per candidate — every level's spatial
     unrolling plus the tile spans its capacity check reads — and runs
     :func:`~repro.model.terms._level_problems` once per distinct row,
     sharing the (immutable) result lists across candidates.
     """
-    np = _np
-    sp_all, sp_counts = geo.sp_cols()
-    cols = [sp_all, sp_counts]
+    np = optional_numpy.np
+    cols = [geo.sp_all, geo.sp_counts]
     num = info.num_levels
     offsets = []
     off = 2 * num
@@ -411,58 +410,13 @@ def _violations_cols(info, geo):
     return results
 
 
-def _evaluate_group(
-    mappings: list[Mapping],
-    info: ModelInfo,
-    partial_reuse: bool,
-    sparsity: SparsitySpec | None,
-    partial_cache: PartialEvalCache | None,
-) -> list[CostResult]:
-    """Array rollup of one same-(workload, arch) cohort of Mappings."""
-    views = [MappingView(m, info) for m in mappings]
-    geo = _CohortGeometry(views, mappings, info)
-    return _rollup(geo, partial_reuse, sparsity, partial_cache)
-
-
-def evaluate_geometry(
-    workload,
-    arch,
-    t_mat,
-    s_mat,
-    order_ids,
-    order_table,
-    partial_reuse: bool = True,
-    sparsity: SparsitySpec | None = None,
-    partial_cache: PartialEvalCache | None = None,
-) -> list[CostResult]:
-    """Evaluate a cohort given directly as factor matrices.
-
-    ``t_mat``/``s_mat`` are ``(n, levels, dims)`` int64 arrays in
-    ``workload.dim_names`` column order; ``order_table[order_ids[k]]``
-    holds candidate ``k``'s per-level loop-order sequences.  Results are
-    bit-identical to materializing each candidate as a ``Mapping`` and
-    calling the scalar :func:`~repro.model.cost.evaluate` — this is the
-    end of the Mapping-free generation pipeline
-    (:mod:`repro.mapspace.batch`).
-    """
-    if _np is None:
-        raise RuntimeError("evaluate_geometry requires numpy")
-    if partial_cache is not None:
-        partial_cache.check_config(partial_reuse, sparsity)
-    info = model_info(workload, arch)
-    geo = _CohortGeometry.from_arrays(info, t_mat, s_mat, order_ids,
-                                      order_table)
-    return _rollup(geo, partial_reuse, sparsity, partial_cache)
-
-
 def _rollup(
     geo: _CohortGeometry,
     partial_reuse: bool,
     sparsity: SparsitySpec | None,
-    partial_cache: PartialEvalCache | None,
 ) -> list[CostResult]:
-    """Array rollup over staged geometry (views- or matrix-backed)."""
-    np = _np
+    """Array rollup over one cohort's staged geometry."""
+    np = optional_numpy.np
     info = geo.info
     arch = info.arch
     n = geo.n
@@ -516,8 +470,7 @@ def _rollup(
         # ---- transfers between adjacent storage levels ----
         for child, parent in tinfo.pairs:
             fills_a, dist_a, fw, pw = _pair_term_cols(
-                info, tinfo, child, partial_reuse, spec, partial_cache,
-                geo, idxb)
+                info, tinfo, child, partial_reuse, spec, geo, idxb)
             bi = idxb[:, parent] // idxb[:, child]
             ratios = pair_ratios.get((child, parent))
             if ratios is None:

@@ -16,7 +16,7 @@ from ..arch.spec import Architecture
 from ..mapping.mapping import Mapping
 from ..sparse.spec import SparsitySpec
 from .accesses import AccessCounts, count_accesses
-from .terms import ModelInfo, PartialEvalCache, model_info
+from .terms import ModelInfo, model_info
 
 
 @dataclass
@@ -57,8 +57,7 @@ INVALID_COST = float("inf")
 def evaluate(mapping: Mapping, partial_reuse: bool = True,
              keep_accesses: bool = False,
              sparsity: SparsitySpec | None = None, *,
-             info: ModelInfo | None = None,
-             partial_cache: PartialEvalCache | None = None) -> CostResult:
+             info: ModelInfo | None = None) -> CostResult:
     """Evaluate energy, latency and EDP for ``mapping``.
 
     Invalid mappings (capacity or fanout violations) still receive an
@@ -72,17 +71,16 @@ def evaluate(mapping: Mapping, partial_reuse: bool = True,
     model; sparsity never changes which mappings are *valid*, since
     buffer occupancy is provisioned for the dense tile (worst case).
 
-    ``info`` and ``partial_cache`` (see :mod:`repro.model.terms`) are
-    pure accelerators — every field of the result is bit-identical with
-    or without them; docs/PERF.md describes the pipeline.
+    ``info`` (see :mod:`repro.model.terms`) is a pure accelerator —
+    every field of the result is bit-identical with or without it;
+    docs/PERF.md describes the pipeline.
     """
     arch = mapping.arch
     if info is None:
         info = model_info(mapping.workload, arch)
     violations = mapping.validate()
     counts = count_accesses(mapping, partial_reuse=partial_reuse,
-                            sparsity=sparsity, info=info,
-                            partial_cache=partial_cache)
+                            sparsity=sparsity, info=info)
 
     # Per-access energies come from the resolved technology tables hoisted
     # on ModelInfo (identical floats to the levels' attributes).

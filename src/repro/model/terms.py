@@ -1,4 +1,4 @@
-"""Factored cost-model terms and the bounded partial-evaluation cache.
+"""Factored cost-model terms shared by the scalar and vectorised paths.
 
 The access model of :mod:`repro.model.accesses` decomposes, per tensor and
 per adjacent storage pair ``(child, parent)``, into one *contribution term*
@@ -15,16 +15,12 @@ product of the non-indexing run below the innermost relevant loop,
     ``fills = t_all // trailing``            (exact integer division)
     ``distinct = t_rel``                     (product of relevant bounds)
 
-both following directly from the Ordering Principles (paper §IV).  The
-:class:`PartialEvalCache` memoises terms on that fingerprint, so when a
-level sweep perturbs only level ``L`` every pair whose child sits below
-``L`` replays its term verbatim instead of recomputing footprints, window
-overlaps and sparse traffic scales.
+both following directly from the Ordering Principles (paper §IV).
 
 Everything here is shared by the scalar path (:func:`~repro.model.accesses.
-count_accesses`) and the vectorised path (:mod:`repro.model.batch`): both
-call the same term function, which is what makes them bit-identical by
-construction.
+count_accesses`) and the vectorised path (:mod:`repro.model.batch`, which
+computes each distinct fingerprint of a cohort once): both call the same
+term function, which is what makes them bit-identical by construction.
 """
 
 from __future__ import annotations
@@ -37,31 +33,13 @@ from ..sparse.saf import traffic_scale
 if TYPE_CHECKING:
     from ..arch.spec import Architecture
     from ..mapping.mapping import Mapping
-    from ..sparse.spec import SparsitySpec, TensorSparsity
+    from ..sparse.spec import TensorSparsity
     from ..workloads.expression import IndexExpr, TensorRef, Workload
 
 
 # ---------------------------------------------------------------------------
 # workload/architecture invariants, hoisted once per (workload, arch) pair
 # ---------------------------------------------------------------------------
-
-# Interned structural identities: workloads with identical dimension order
-# and tensor access structure share term-cache entries (terms never read
-# the architecture, only the child level index and the tile spans).
-_TOKEN_IDS: dict[tuple, int] = {}
-
-
-def _structure_token(workload: "Workload") -> int:
-    key = (
-        tuple(workload.dim_names),
-        tuple(
-            (t.name, t.is_output,
-             tuple((e.dims, e.stride) for e in t.indices))
-            for t in workload.tensors
-        ),
-    )
-    return _TOKEN_IDS.setdefault(key, len(_TOKEN_IDS))
-
 
 class TensorModelInfo:
     """Per-tensor invariants the model reads on every evaluation."""
@@ -146,7 +124,6 @@ class ModelInfo:
             if arch.levels[i].link_bandwidth != float("inf"))
         self.dim_names = tuple(workload.dim_names)
         self.dim_index = {d: i for i, d in enumerate(self.dim_names)}
-        self.token = _structure_token(workload)
         self.tensors: list[TensorModelInfo] = []
         dim_names = workload.dim_names
         for index, tensor in enumerate(workload.tensors):
@@ -167,7 +144,7 @@ class ModelInfo:
         # Footprint memo shared by terms and the fast validity check:
         # (tensor index, tile spans over rel_dims) -> words.
         self._footprints: dict[tuple, int] = {}
-        # Per-level capacity-check metadata for mapping_violations:
+        # Per-level capacity-check metadata for the cohort validity check:
         # (arch level, "skip"|"unified"|"per-role", payload, union_dims,
         # union_idx).
         # Unified payload: (cap, stored tinfos); per-role payload:
@@ -352,93 +329,9 @@ class MappingView:
         self._suffix_info[child] = out
         return out
 
-    def suffix(self, indexing: frozenset[str], child: int
-               ) -> tuple[tuple[str, int], ...] | None:
-        """Trailing temporal run above ``child``, innermost-first, up to
-        and including the innermost loop over an indexing dimension.
-
-        ``None`` when no such loop exists (the tile is fetched once)."""
-        out: list[tuple[str, int]] = []
-        for l in range(child + 1, self.info.num_levels):
-            for d, b in reversed(self.nests[l]):
-                out.append((d, b))
-                if d in indexing:
-                    return tuple(out)
-        return None
-
-
 # ---------------------------------------------------------------------------
-# the memoised term
+# the term
 # ---------------------------------------------------------------------------
-
-class PartialEvalCache:
-    """Bounded LRU memo of per-(tensor, child-level) contribution terms.
-
-    Bound at construction to one ``(partial_reuse, sparsity)`` evaluation
-    configuration — both change term *values*, so sharing one cache across
-    configurations would be unsound; :meth:`check_config` guards misuse.
-    Keys embed the workload's interned structural token, so one cache can
-    serve every layer of a network safely.  ``max_entries=None`` or ``0``
-    disables eviction (matching the CLI's documented
-    ``--cache-size 0 = unbounded``).
-    """
-
-    def __init__(self, max_entries: int | None = 200_000,
-                 partial_reuse: bool = True,
-                 sparsity: "SparsitySpec | None" = None) -> None:
-        if max_entries is not None and max_entries < 0:
-            raise ValueError(
-                "max_entries must be >= 0 or None (0 = unbounded)")
-        self.max_entries = max_entries or None
-        self.partial_reuse = bool(partial_reuse)
-        self.sparsity = sparsity
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self._entries: "OrderedDict[tuple, tuple]" = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def check_config(self, partial_reuse: bool,
-                     sparsity: "SparsitySpec | None") -> None:
-        if (bool(partial_reuse) != self.partial_reuse
-                or sparsity != self.sparsity):
-            raise ValueError(
-                "PartialEvalCache is bound to a different "
-                "(partial_reuse, sparsity) configuration"
-            )
-
-    def get(self, key: tuple) -> tuple | None:
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        return entry
-
-    def put(self, key: tuple, value: tuple) -> None:
-        if key in self._entries:
-            # Refresh recency; replacing never evicts (size is unchanged).
-            self._entries.move_to_end(key)
-            self._entries[key] = value
-            return
-        self._entries[key] = value
-        if self.max_entries is not None:
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-                self.evictions += 1
-
-    def clear(self) -> None:
-        """Drop all entries (counters are preserved)."""
-        self._entries.clear()
-
 
 def _window_fill_words(tinfo: TensorModelInfo, sizes: dict[str, int],
                        fills: int, inner_dim: str, inner_bound: int,
@@ -465,7 +358,6 @@ def pair_term(
     child: int,
     partial_reuse: bool,
     spec: "TensorSparsity | None",
-    cache: PartialEvalCache | None = None,
 ) -> tuple[int, int, float, float]:
     """Contribution term of one (tensor, child storage level).
 
@@ -500,17 +392,8 @@ def pair_term(
         _, trailing, inner_dim, inner_bound = \
             view.suffix_info(child)[tinfo.index]
         fills = view.t_from[child + 1] // trailing
-    if cache is not None:
-        key = (info.token, tinfo.index, child, sizes_key, fills,
-               inner_dim, inner_bound, t_rel)
-        term = cache.get(key)
-        if term is not None:
-            return term
-    term = _compute_term(info, tinfo, sizes, sizes_key, fills, inner_dim,
+    return _compute_term(info, tinfo, sizes, sizes_key, fills, inner_dim,
                          inner_bound, t_rel, partial_reuse, spec)
-    if cache is not None:
-        cache.put(key, term)
-    return term
 
 
 def _compute_term(info, tinfo, sizes, sizes_key, fills, inner_dim,
@@ -533,30 +416,11 @@ def _compute_term(info, tinfo, sizes, sizes_key, fills, inner_dim,
 # fast validity check (mirrors Mapping.validate via the footprint memo)
 # ---------------------------------------------------------------------------
 
-def mapping_violations(info: ModelInfo, view: MappingView,
-                       mapping: "Mapping") -> list[str]:
-    """Violations of ``mapping``, identical to ``Mapping.validate()``.
-
-    Reimplemented on top of the hoisted :class:`ModelInfo` and the shared
-    footprint memo so cohort evaluation does not re-derive storage sets
-    and occupancies per candidate; the message strings and their order
-    mirror :meth:`repro.mapping.mapping.Mapping.validate` exactly (pinned
-    by ``tests/test_model_batch.py``).
-    """
-    problems: list[str] = []
-    for i, (arch_level, kind, payload, _union, _uidx) in \
-            enumerate(info.level_checks):
-        problems.extend(_level_problems(
-            info, arch_level, kind, payload,
-            view.sp_all[i], view.sp_counts[i],
-            None if kind == "skip" else mapping.cumulative_sizes(i),
-        ))
-    return problems
-
-
 def _level_problems(info, arch_level, kind, payload, sp_size, sp_count,
                     sizes):
-    """One level's violation strings (scalar order and wording)."""
+    """One level's violation strings, identical in wording and order to
+    :meth:`repro.mapping.mapping.Mapping.validate` (pinned by
+    ``tests/test_model_batch.py``)."""
     problems: list[str] = []
     if sp_size > arch_level.fanout:
         problems.append(

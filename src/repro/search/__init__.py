@@ -1,6 +1,5 @@
 """Parallel, memoized schedule-search engine shared by all mappers."""
 
-from ..model.terms import PartialEvalCache
 from .cache import EvalCache
 from .checkpoint import (
     CheckpointJournal,
@@ -28,7 +27,6 @@ __all__ = [
     "InjectedFault",
     "JournalError",
     "MappingOutcome",
-    "PartialEvalCache",
     "SearchEngine",
     "SearchStats",
     "architecture_fingerprint",

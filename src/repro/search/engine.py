@@ -1,32 +1,30 @@
 """Parallel, memoized evaluation of mapping candidates.
 
 The :class:`SearchEngine` is the single funnel through which the Sunstone
-scheduler and every baseline mapper run the cost model.  It adds two
-orthogonal accelerations, both provably behaviour-preserving:
+scheduler and every baseline mapper run the cost model.  Every request —
+one ``Mapping``, a list of them, or a generated
+:class:`~repro.mapspace.batch.Cohort` — goes through one body:
 
-* **memoisation** — results are cached in an :class:`EvalCache` keyed on
-  the canonical mapping fingerprint, so re-evaluating an
+* **memoisation** — each row is fingerprinted and looked up in an
+  :class:`EvalCache` keyed on the canonical mapping fingerprint, and
+  in-batch duplicates are evaluated once, so re-evaluating an
   identically-shaped candidate (within a level sweep, across the
   escalation retry, or across the layers of a network) is free;
-* **vectorisation** — cohorts of cache misses run through
-  :func:`repro.model.batch.evaluate_batch` (numpy array rollups sharing
-  the term-level :class:`~repro.model.terms.PartialEvalCache`), falling
-  back bit-identically to the scalar model when numpy is absent or
-  ``batch=False``;
-* **parallelism** — with vectorisation off, batches of cache misses fan
-  out over a ``ProcessPoolExecutor`` in deterministic chunks and merge
-  back in submission order, so the downstream argmin sees candidates in
-  exactly the order the serial path would.  Intra-sweep cohorts prefer
-  the vectorised path; the pool is for cross-layer fan-out
-  (:func:`repro.core.network.schedule_network`).
+* **vectorisation** — with numpy, the cache misses of a cohort of at
+  least :data:`~repro.model.batch.MIN_BATCH` rows run through
+  :meth:`Cohort.evaluate_rows <repro.mapspace.batch.Cohort.evaluate_rows>`
+  (numpy array rollups); smaller ones run the scalar model in-process;
+* **parallelism** — without numpy, batches of cache misses fan out over
+  a ``ProcessPoolExecutor`` in deterministic chunks and merge back in
+  submission order, so the downstream argmin sees candidates in exactly
+  the order the serial path would.
 
-``workers=1`` (the default) never touches multiprocessing: every
-evaluation runs in-process, which keeps tests, coverage and debugging
-identical to a direct ``evaluate()`` call.  The determinism guarantee —
-same best mapping, same ``energy_pj``/``cycles`` for every
-(workers, cache, batch) configuration — is pinned by
-``tests/test_search_engine.py`` and ``tests/test_model_batch.py``;
-docs/PERF.md walks the full pipeline.
+``workers=1`` (the default) never touches multiprocessing, which keeps
+tests, coverage and debugging identical to a direct ``evaluate()`` call.
+The determinism guarantee — same best mapping, same
+``energy_pj``/``cycles`` for every (workers, cache) configuration, with
+or without numpy — is pinned by ``tests/test_search_engine.py`` and
+``tests/test_model_batch.py``; docs/PERF.md walks the full pipeline.
 """
 
 from __future__ import annotations
@@ -39,11 +37,11 @@ from concurrent.futures import TimeoutError as FuturesTimeout
 from contextlib import contextmanager
 from typing import Iterator, Sequence
 
+from .. import optional_numpy
 from ..mapping.mapping import Mapping
-from ..model.batch import HAVE_NUMPY
-from ..model.batch import evaluate_batch as _batch_evaluate
+from ..mapspace.batch import Cohort
+from ..model.batch import MIN_BATCH, stage_mappings
 from ..model.cost import CostResult, evaluate
-from ..model.terms import PartialEvalCache
 from ..sparse.spec import SparsitySpec
 from .cache import EvalCache
 from .faults import FaultPlan, InjectedFault, plan_from_env, trip_chunk_fault
@@ -73,15 +71,44 @@ def _evaluate_chunk(
             for m in mappings]
 
 
+class _MappingCohort(Cohort):
+    """Ready-made ``Mapping`` objects seen as a cohort.
+
+    Rows are staged by :func:`~repro.model.batch.stage_mappings` on the
+    first mapping's workload and architecture, the rule
+    :func:`~repro.model.batch.evaluate_batch` applies too: a list mixing
+    workloads or architectures has no geometry and runs the scalar model.
+    """
+
+    def __init__(self, mappings: Sequence[Mapping]) -> None:
+        self.mappings = mappings
+        first = mappings[0] if mappings else None
+        self.workload = first.workload if first is not None else None
+        self.arch = first.arch if first is not None else None
+
+    def __len__(self) -> int:
+        return len(self.mappings)
+
+    def materialize(self, i: int) -> Mapping:
+        return self.mappings[i]
+
+    def geometry(self, indices: Sequence[int] | None = None):
+        rows = self.mappings
+        if indices is not None:
+            rows = [rows[i] for i in indices]
+        return stage_mappings(self.workload, self.arch, rows)
+
+
 class SearchEngine:
     """Memoized, optionally parallel ``evaluate()`` frontend.
 
     Parameters
     ----------
     workers:
-        Process count for batch evaluation.  ``1`` stays fully
-        in-process; higher values lazily spawn a pool that is reused
-        across batches until :meth:`close`.
+        Process count for batch evaluation without numpy.  ``1`` stays
+        fully in-process; higher values lazily spawn a pool that is
+        reused across batches until :meth:`close`.  With numpy the
+        vectorised model replaces the pool.
     cache:
         ``True`` (default) builds a fresh :class:`EvalCache`, ``False``
         disables memoisation, or pass an existing cache to share it
@@ -95,23 +122,10 @@ class SearchEngine:
         every evaluation.  Like ``partial_reuse`` it is part of the
         cache key: a dense engine and a sparse engine can share one
         cache object without ever exchanging results.
-    batch:
-        ``True`` (default) vectorises cache-miss cohorts through
-        :func:`repro.model.batch.evaluate_batch` when numpy is present.
-        ``False`` forces the scalar model (and re-enables the process
-        pool for ``workers > 1``).  Results are bit-identical either
-        way.
     cache_size:
-        Entry cap shared by the result :class:`EvalCache` and the
-        term-level :class:`PartialEvalCache`.  ``None`` keeps each
-        cache's default bound; ``0`` means unbounded.  Ignored for the
-        result cache when an existing ``EvalCache`` object is passed.
-    partial_cache:
-        ``True`` (default) builds a term-level
-        :class:`~repro.model.terms.PartialEvalCache` bound to this
-        engine's ``(partial_reuse, sparsity)``; ``False``/``None``
-        disables term memoisation; or pass an instance to share one
-        (its configuration is verified).
+        Entry cap of the result :class:`EvalCache`.  ``None`` keeps the
+        cache's default bound; ``0`` means unbounded.  Ignored when an
+        existing ``EvalCache`` object is passed.
     chunk_timeout:
         Per-chunk wall-clock budget (seconds) for pooled evaluation.
         A chunk that exceeds it is declared lost: the pool is rebuilt
@@ -137,9 +151,7 @@ class SearchEngine:
         partial_reuse: bool = True,
         chunk_size: int = 64,
         sparsity: SparsitySpec | None = None,
-        batch: bool = True,
         cache_size: int | None = None,
-        partial_cache: PartialEvalCache | bool | None = True,
         chunk_timeout: float | None = None,
         fault_plan: FaultPlan | None = None,
         max_pool_rebuilds: int = 1,
@@ -178,21 +190,6 @@ class SearchEngine:
         self.partial_reuse = partial_reuse
         self.sparsity = sparsity
         self.chunk_size = chunk_size
-        self.batch = bool(batch)
-        self._use_batch = self.batch and HAVE_NUMPY
-        if partial_cache is True:
-            if cache_size is None:
-                partial_cache = PartialEvalCache(
-                    partial_reuse=partial_reuse, sparsity=sparsity)
-            else:
-                partial_cache = PartialEvalCache(
-                    max_entries=cache_size,
-                    partial_reuse=partial_reuse, sparsity=sparsity)
-        elif partial_cache is False:
-            partial_cache = None
-        elif partial_cache is not None:
-            partial_cache.check_config(partial_reuse, sparsity)
-        self.partial_cache: PartialEvalCache | None = partial_cache
         self.stats = SearchStats(workers=self._effective_workers)
         self.chunk_timeout = chunk_timeout
         self.max_pool_rebuilds = max_pool_rebuilds
@@ -283,28 +280,148 @@ class SearchEngine:
     # ------------------------------------------------------------------
     # evaluation
     # ------------------------------------------------------------------
+    def _invariant_fps_of(self, workload, arch) -> tuple:
+        """(workload, architecture) fingerprints, memoised by object
+        identity: they are invariant across the thousands of candidates
+        of one search (each entry keeps its object alive)."""
+        memo = self._invariant_fps
+        wl = memo.get(id(workload))
+        if wl is None or wl[0] is not workload:
+            wl = memo[id(workload)] = (workload,
+                                       workload_fingerprint(workload))
+        hw = memo.get(id(arch))
+        if hw is None or hw[0] is not arch:
+            hw = memo[id(arch)] = (arch, architecture_fingerprint(arch))
+        return wl[1], hw[1]
+
     def fingerprint(self, mapping: Mapping) -> Fingerprint:
         """Cache key of ``mapping`` under this engine's settings."""
-        wl, arch = mapping.workload, mapping.arch
-        entry = self._invariant_fps.get(id(wl))
-        if entry is None or entry[0] is not wl:
-            entry = (wl, workload_fingerprint(wl))
-            self._invariant_fps[id(wl)] = entry
-        wl_fp = entry[1]
-        entry = self._invariant_fps.get(id(arch))
-        if entry is None or entry[0] is not arch:
-            entry = (arch, architecture_fingerprint(arch))
-            self._invariant_fps[id(arch)] = entry
+        wl_fp, arch_fp = self._invariant_fps_of(mapping.workload,
+                                                mapping.arch)
         return mapping_fingerprint(
-            mapping, self.partial_reuse, workload_fp=wl_fp, arch_fp=entry[1],
+            mapping, self.partial_reuse, workload_fp=wl_fp, arch_fp=arch_fp,
             sparsity=self.sparsity)
 
-    def _sync_partial_stats(self) -> None:
-        pc = self.partial_cache
-        if pc is not None:
-            self.stats.partial_hits = pc.hits
-            self.stats.partial_misses = pc.misses
-            self.stats.partial_evictions = pc.evictions
+    def _fingerprints(self, cohort: Cohort) -> Iterator[Fingerprint]:
+        """Cache key of every cohort row, in order — for generated
+        cohorts the same tuple ``fingerprint(cohort.materialize(i))``
+        would build, taken from the cohort's geometry without a
+        ``Mapping``."""
+        if isinstance(cohort, _MappingCohort):
+            return map(self.fingerprint, cohort.mappings)
+        wl_fp, arch_fp = self._invariant_fps_of(cohort.workload,
+                                                cohort.arch)
+        levels = cohort.fingerprint_levels
+        partial_reuse = bool(self.partial_reuse)
+        return ((wl_fp, arch_fp, levels(i), partial_reuse, self.sparsity)
+                for i in range(len(cohort)))
+
+    def evaluate(self, mapping: Mapping) -> CostResult:
+        """Evaluate one mapping, through the cache, in-process."""
+        return self._evaluate(_MappingCohort((mapping,)), single=True)[0]
+
+    def evaluate_many(
+        self, mappings: Sequence[Mapping],
+    ) -> list[CostResult]:
+        """Evaluate a list of mappings; results align by index and are
+        bit-identical to ``[evaluate(m) for m in mappings]``."""
+        return self._evaluate(_MappingCohort(mappings))
+
+    def evaluate_cohort(self, cohort: Cohort) -> list[CostResult]:
+        """Evaluate a :class:`repro.mapspace.batch.Cohort`; ``Mapping``
+        objects are only built on the scalar path."""
+        return self._evaluate(cohort)
+
+    def _evaluate(self, cohort: Cohort,
+                  single: bool = False) -> list[CostResult]:
+        """The one evaluation body behind the public entry points.
+
+        Cache hits are served directly; the remaining distinct
+        fingerprints are evaluated once (vectorised, pooled or scalar,
+        see :meth:`_run`) and merged back in row order.  A ``single``
+        request (:meth:`evaluate`) is not counted as a batch.
+        """
+        start = time.perf_counter()
+        stats = self.stats
+        n = len(cohort)
+        cache = self.cache
+        if cache is None:
+            results = self._run(cohort, list(range(n)))
+            stats.evaluations += n
+        else:
+            results: list[CostResult | None] = [None] * n
+            todo: list[int] = []
+            todo_keys: list[Fingerprint] = []
+            waiters: dict[Fingerprint, list[int]] = {}
+            for i, key in enumerate(self._fingerprints(cohort)):
+                pending = waiters.get(key)
+                if pending is not None:
+                    pending.append(i)
+                    continue
+                cached = cache.get(key)
+                if cached is not None:
+                    results[i] = cached
+                    stats.cache_hits += 1
+                    continue
+                waiters[key] = [i]
+                todo.append(i)
+                todo_keys.append(key)
+            stats.add_stage_time("cache", time.perf_counter() - start)
+
+            fresh = self._run(cohort, todo)
+            stats.evaluations += len(todo)
+            stats.cache_misses += len(todo)
+            cache_start = time.perf_counter()
+            for key, result in zip(todo_keys, fresh):
+                cache.put(key, result)
+                indices = waiters[key]
+                for j in indices:
+                    results[j] = result
+                # Later duplicates of an in-batch miss are served without
+                # a fresh evaluation: count them as hits.
+                stats.cache_hits += len(indices) - 1
+            stats.cache_evictions = cache.evictions
+            stats.add_stage_time("cache",
+                                 time.perf_counter() - cache_start)
+        if not single:
+            stats.batches += 1
+            stats.wall_time_s += time.perf_counter() - start
+        return results  # type: ignore[return-value]
+
+    def _run(self, cohort: Cohort, indices: list[int]) -> list[CostResult]:
+        """Evaluate the selected rows preserving order: vectorised with
+        numpy, else over the process pool, else the scalar model
+        in-process."""
+        if not indices:
+            return []
+        stats = self.stats
+        start = time.perf_counter()
+        vectorised = optional_numpy.np is not None
+        if vectorised and len(indices) >= MIN_BATCH:
+            results = cohort.evaluate_rows(indices, self.partial_reuse,
+                                           self.sparsity)
+            if results is not None:
+                stats.add_stage_time("model", time.perf_counter() - start)
+                stats.batched_evaluations += len(indices)
+                return results
+        mappings = [cohort.materialize(i) for i in indices]
+        workers = self._effective_workers
+        pool = None
+        if not vectorised and workers > 1 and len(mappings) >= 2 * workers:
+            pool = self._ensure_pool()  # None: creation failed, serial
+        if pool is None:
+            results = [self._model_eval(m) for m in mappings]
+            stats.add_stage_time("model", time.perf_counter() - start)
+            return results
+        try:
+            results = self._run_pooled(pool, mappings)
+        except KeyboardInterrupt:
+            # Don't let queued chunks pin the interpreter on Ctrl-C;
+            # engine_scope's cleanup will find the pool already gone.
+            self._abort_pool()
+            raise
+        stats.add_stage_time("pool", time.perf_counter() - start)
+        return results
 
     def _model_eval(self, mapping: Mapping) -> CostResult:
         """One in-process cost-model call, surviving injected faults.
@@ -316,8 +433,7 @@ class SearchEngine:
         plan = self._fault_plan
         if plan is None:
             return evaluate(mapping, partial_reuse=self.partial_reuse,
-                            sparsity=self.sparsity,
-                            partial_cache=self.partial_cache)
+                            sparsity=self.sparsity)
         site = self._eval_site
         self._eval_site += 1
         attempt = 0
@@ -325,8 +441,7 @@ class SearchEngine:
             try:
                 plan.check_eval(site, attempt)
                 return evaluate(mapping, partial_reuse=self.partial_reuse,
-                                sparsity=self.sparsity,
-                                partial_cache=self.partial_cache)
+                                sparsity=self.sparsity)
             except InjectedFault:
                 self.stats.faults.injected += 1
                 attempt += 1
@@ -334,239 +449,11 @@ class SearchEngine:
                     raise
                 self.stats.faults.retries += 1
 
-    def evaluate(self, mapping: Mapping) -> CostResult:
-        """Evaluate one mapping, through the cache, in-process."""
-        if self.cache is None:
-            self.stats.evaluations += 1
-            start = time.perf_counter()
-            result = self._model_eval(mapping)
-            self.stats.add_stage_time("model",
-                                      time.perf_counter() - start)
-            self._sync_partial_stats()
-            return result
-        key = self.fingerprint(mapping)
-        cached = self.cache.get(key)
-        if cached is not None:
-            self.stats.cache_hits += 1
-            return cached
-        start = time.perf_counter()
-        result = self._model_eval(mapping)
-        self.stats.add_stage_time("model", time.perf_counter() - start)
-        self.stats.evaluations += 1
-        self.stats.cache_misses += 1
-        self.cache.put(key, result)
-        self.stats.cache_evictions = self.cache.evictions
-        self._sync_partial_stats()
-        return result
-
-    def evaluate_many(
-        self, mappings: Sequence[Mapping],
-    ) -> list[CostResult]:
-        """Evaluate a cohort; results align with ``mappings`` by index.
-
-        Cache hits are served directly; the remaining distinct
-        fingerprints are evaluated (vectorised, or in parallel when
-        ``workers > 1`` with ``batch=False``) and merged back in input
-        order, so the returned list is bit-identical to what
-        ``[evaluate(m) for m in mappings]`` would produce.
-        """
-        start = time.perf_counter()
-        self.stats.batches += 1
-        if self.cache is None:
-            results = self._run(list(mappings))
-            self.stats.evaluations += len(mappings)
-            self.stats.wall_time_s += time.perf_counter() - start
-            return results
-
-        results: list[CostResult | None] = [None] * len(mappings)
-        todo: list[Mapping] = []
-        todo_keys: list[Fingerprint] = []
-        waiters: dict[Fingerprint, list[int]] = {}
-        cache_start = time.perf_counter()
-        for i, mapping in enumerate(mappings):
-            key = self.fingerprint(mapping)
-            pending = waiters.get(key)
-            if pending is not None:
-                pending.append(i)
-                continue
-            cached = self.cache.get(key)
-            if cached is not None:
-                results[i] = cached
-                self.stats.cache_hits += 1
-                continue
-            waiters[key] = [i]
-            todo.append(mapping)
-            todo_keys.append(key)
-        self.stats.add_stage_time("cache",
-                                  time.perf_counter() - cache_start)
-
-        fresh = self._run(todo)
-        self.stats.evaluations += len(todo)
-        self.stats.cache_misses += len(todo)
-        cache_start = time.perf_counter()
-        for key, result in zip(todo_keys, fresh):
-            self.cache.put(key, result)
-            indices = waiters[key]
-            for i in indices:
-                results[i] = result
-            # Later duplicates of an in-batch miss are served without a
-            # fresh evaluation: count them as hits.
-            self.stats.cache_hits += len(indices) - 1
-        self.stats.cache_evictions = self.cache.evictions
-        self.stats.add_stage_time("cache",
-                                  time.perf_counter() - cache_start)
-        self.stats.wall_time_s += time.perf_counter() - start
-        return results  # type: ignore[return-value]
-
-    # Established name from PR 1; several call sites and tests use it.
-    evaluate_batch = evaluate_many
-
-    def _cohort_fingerprint(self, cohort, i: int) -> Fingerprint:
-        """Cache key of cohort row ``i`` — the same tuple
-        ``fingerprint(cohort.materialize(i))`` would build, computed
-        from the cohort's geometry without a ``Mapping``."""
-        wl, arch = cohort.workload, cohort.arch
-        entry = self._invariant_fps.get(id(wl))
-        if entry is None or entry[0] is not wl:
-            entry = (wl, workload_fingerprint(wl))
-            self._invariant_fps[id(wl)] = entry
-        wl_fp = entry[1]
-        entry = self._invariant_fps.get(id(arch))
-        if entry is None or entry[0] is not arch:
-            entry = (arch, architecture_fingerprint(arch))
-            self._invariant_fps[id(arch)] = entry
-        return (wl_fp, entry[1], cohort.fingerprint_levels(i),
-                bool(self.partial_reuse), self.sparsity)
-
-    def evaluate_cohort(self, cohort) -> list[CostResult]:
-        """Evaluate a :class:`repro.mapspace.batch.Cohort` end-to-end.
-
-        The streaming twin of :meth:`evaluate_many`: identical cache
-        accounting (hits, misses, in-batch duplicates), identical stage
-        times, identical results — but candidates arrive as geometry
-        matrices and ``Mapping`` objects are only built on the scalar
-        fallback (no numpy, fault injection, or a 1-row cohort).
-        """
-        start = time.perf_counter()
-        self.stats.batches += 1
-        n = len(cohort)
-        if self.cache is None:
-            results = self._run_cohort(cohort, list(range(n)))
-            self.stats.evaluations += n
-            self.stats.wall_time_s += time.perf_counter() - start
-            return results
-
-        results: list[CostResult | None] = [None] * n
-        todo: list[int] = []
-        todo_keys: list[Fingerprint] = []
-        waiters: dict[Fingerprint, list[int]] = {}
-        cache_start = time.perf_counter()
-        for i in range(n):
-            key = self._cohort_fingerprint(cohort, i)
-            pending = waiters.get(key)
-            if pending is not None:
-                pending.append(i)
-                continue
-            cached = self.cache.get(key)
-            if cached is not None:
-                results[i] = cached
-                self.stats.cache_hits += 1
-                continue
-            waiters[key] = [i]
-            todo.append(i)
-            todo_keys.append(key)
-        self.stats.add_stage_time("cache",
-                                  time.perf_counter() - cache_start)
-
-        fresh = self._run_cohort(cohort, todo)
-        self.stats.evaluations += len(todo)
-        self.stats.cache_misses += len(todo)
-        cache_start = time.perf_counter()
-        for key, result in zip(todo_keys, fresh):
-            self.cache.put(key, result)
-            indices = waiters[key]
-            for i in indices:
-                results[i] = result
-            # Later duplicates of an in-batch miss are served without a
-            # fresh evaluation: count them as hits.
-            self.stats.cache_hits += len(indices) - 1
-        self.stats.cache_evictions = self.cache.evictions
-        self.stats.add_stage_time("cache",
-                                  time.perf_counter() - cache_start)
-        self.stats.wall_time_s += time.perf_counter() - start
-        return results  # type: ignore[return-value]
-
-    def _run_cohort(self, cohort, indices: list[int]) -> list[CostResult]:
-        """Evaluate the selected cohort rows preserving order; geometry
-        rollups when available, scalar materialization otherwise."""
-        if not indices:
-            return []
-        if self._use_batch and len(indices) >= 2:
-            start = time.perf_counter()
-            results = cohort.evaluate_rows(
-                indices, self.partial_reuse, self.sparsity,
-                self.partial_cache)
-            if results is not None:
-                self.stats.add_stage_time("model",
-                                          time.perf_counter() - start)
-                self.stats.batched_evaluations += len(indices)
-                self._sync_partial_stats()
-                return results
-        # No vectorized path: materialize the rows and run them through
-        # the exact machinery evaluate_many uses (process pool, fault
-        # recovery, per-mapping fallback) so accounting and recovery
-        # semantics are identical.
-        return self._run([cohort.materialize(i) for i in indices])
-
-    def _run(self, mappings: list[Mapping]) -> list[CostResult]:
-        """Evaluate ``mappings`` preserving order; vectorised cohorts
-        first, process pool only with vectorisation unavailable."""
-        if not mappings:
-            return []
-        if self._use_batch and len(mappings) >= 2:
-            start = time.perf_counter()
-            results = _batch_evaluate(
-                mappings, partial_reuse=self.partial_reuse,
-                sparsity=self.sparsity, partial_cache=self.partial_cache)
-            self.stats.add_stage_time("model",
-                                      time.perf_counter() - start)
-            self.stats.batched_evaluations += len(mappings)
-            self._sync_partial_stats()
-            return results
-        workers = self._effective_workers
-        if workers == 1 or len(mappings) < 2 * workers:
-            start = time.perf_counter()
-            results = [self._model_eval(m) for m in mappings]
-            self.stats.add_stage_time("model",
-                                      time.perf_counter() - start)
-            self._sync_partial_stats()
-            return results
-        pool = self._ensure_pool()
-        if pool is None:  # pool creation failed; workers reset to 1
-            start = time.perf_counter()
-            results = [self._model_eval(m) for m in mappings]
-            self.stats.add_stage_time("model",
-                                      time.perf_counter() - start)
-            self._sync_partial_stats()
-            return results
-        start = time.perf_counter()
-        try:
-            results = self._run_pooled(pool, mappings)
-        except KeyboardInterrupt:
-            # Don't let queued chunks pin the interpreter on Ctrl-C;
-            # engine_scope's cleanup will find the pool already gone.
-            self._abort_pool()
-            raise
-        self.stats.add_stage_time("pool", time.perf_counter() - start)
-        return results
-
     def _eval_chunk_inline(self, chunk: list[Mapping]) -> list[CostResult]:
         """In-process fallback for a chunk the pool lost; bit-identical
-        to what the worker would have returned (the model is pure and
-        the partial cache is a transparent accelerator)."""
+        to what the worker would have returned (the model is pure)."""
         return [evaluate(m, partial_reuse=self.partial_reuse,
-                         sparsity=self.sparsity,
-                         partial_cache=self.partial_cache)
+                         sparsity=self.sparsity)
                 for m in chunk]
 
     def _run_pooled(
@@ -667,7 +554,6 @@ def resolve_engine(
     cache: bool,
     partial_reuse: bool,
     sparsity: SparsitySpec | None = None,
-    batch: bool = True,
     cache_size: int | None = None,
 ) -> tuple[SearchEngine, bool]:
     """Return (engine, owns_it): reuse an injected engine or build one."""
@@ -675,8 +561,7 @@ def resolve_engine(
         return engine, False
     return SearchEngine(workers=workers, cache=cache,
                         partial_reuse=partial_reuse,
-                        sparsity=sparsity, batch=batch,
-                        cache_size=cache_size), True
+                        sparsity=sparsity, cache_size=cache_size), True
 
 
 @contextmanager
@@ -686,14 +571,13 @@ def engine_scope(
     cache: bool = True,
     partial_reuse: bool = True,
     sparsity: SparsitySpec | None = None,
-    batch: bool = True,
     cache_size: int | None = None,
 ) -> Iterator[SearchEngine]:
     """Engine lifecycle as a context manager: reuse an injected engine
     (left open for its owner) or build one and close it on exit, even on
     error.  ``engine.stats`` remains readable after close."""
     resolved, owns = resolve_engine(engine, workers, cache, partial_reuse,
-                                    sparsity, batch, cache_size)
+                                    sparsity, cache_size)
     try:
         yield resolved
     finally:

@@ -83,10 +83,8 @@ class SearchStats:
     (candidate enumeration + materialisation), ``"cache"`` (fingerprint
     + memo lookup/merge) and ``"pool"`` (process-pool dispatch including
     pickling).  ``batched_evaluations`` counts how many of
-    ``evaluations`` went through the vectorised
-    :func:`repro.model.batch.evaluate_batch` path, and the ``partial_*``
-    counters mirror the term-level
-    :class:`~repro.model.terms.PartialEvalCache`.
+    ``evaluations`` ran through the vectorised model
+    (:mod:`repro.model.batch`): exactly the rows the array path staged.
     """
 
     workers: int = 1
@@ -99,9 +97,6 @@ class SearchStats:
     wall_time_s: float = 0.0
     level_wall_time_s: dict[str, float] = field(default_factory=dict)
     batched_evaluations: int = 0
-    partial_hits: int = 0
-    partial_misses: int = 0
-    partial_evictions: int = 0
     stage_time_s: dict[str, float] = field(default_factory=dict)
     faults: FaultStats = field(default_factory=FaultStats)
     # Branch-and-bound accounting (docs/MAPSPACE.md): whole regions
@@ -120,16 +115,6 @@ class SearchStats:
     def hit_rate(self) -> float:
         total = self.requests
         return self.cache_hits / total if total else 0.0
-
-    @property
-    def partial_requests(self) -> int:
-        """Term-level partial-cache lookups issued."""
-        return self.partial_hits + self.partial_misses
-
-    @property
-    def partial_hit_rate(self) -> float:
-        total = self.partial_requests
-        return self.partial_hits / total if total else 0.0
 
     def add_level_time(self, level_name: str, seconds: float) -> None:
         self.level_wall_time_s[level_name] = (
@@ -154,9 +139,6 @@ class SearchStats:
         for name, seconds in other.level_wall_time_s.items():
             self.add_level_time(name, seconds)
         self.batched_evaluations += other.batched_evaluations
-        self.partial_hits += other.partial_hits
-        self.partial_misses += other.partial_misses
-        self.partial_evictions += other.partial_evictions
         for name, seconds in other.stage_time_s.items():
             self.add_stage_time(name, seconds)
         self.faults.merge(other.faults)
@@ -179,11 +161,6 @@ class SearchStats:
             "wall_time_s": self.wall_time_s,
             "level_wall_time_s": dict(self.level_wall_time_s),
             "batched_evaluations": self.batched_evaluations,
-            "partial_hits": self.partial_hits,
-            "partial_misses": self.partial_misses,
-            "partial_evictions": self.partial_evictions,
-            "partial_requests": self.partial_requests,
-            "partial_hit_rate": self.partial_hit_rate,
             "stage_time_s": dict(self.stage_time_s),
             "faults": self.faults.to_dict(),
             "bound": {
@@ -218,9 +195,6 @@ class SearchStats:
             (f"  eval cache: hits {self.cache_hits} "
              f"({self.hit_rate:.0%} of {self.requests} requests), "
              f"evictions {self.cache_evictions}"),
-            (f"  partial-term cache: hits {self.partial_hits} "
-             f"({self.partial_hit_rate:.0%} of {self.partial_requests} "
-             f"requests), evictions {self.partial_evictions}"),
         ]
         if (self.bound_regions_tested or self.bound_regions_pruned
                 or self.bound_candidates_skipped):

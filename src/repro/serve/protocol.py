@@ -192,8 +192,7 @@ def build_sparsity_spec(job_or_task: dict):
                          tensor_names=names)
 
 
-_OPTION_DEFAULTS = {"batch": True, "batch_gen": True, "bound": True,
-                    "cache_size": None}
+_OPTION_DEFAULTS = {"bound": True, "cache_size": None}
 
 
 def _normalize_options(entry: Any) -> dict:
@@ -207,8 +206,7 @@ def _normalize_options(entry: Any) -> dict:
             raise ProtocolError(f"unknown option {key!r}; choose from "
                                 f"{sorted(_OPTION_DEFAULTS)}")
         options[key] = value
-    for key in ("batch", "batch_gen", "bound"):
-        options[key] = bool(options[key])
+    options["bound"] = bool(options["bound"])
     if options["cache_size"] is not None:
         options["cache_size"] = int(options["cache_size"])
         if options["cache_size"] < 0:
@@ -418,10 +416,6 @@ def _refresh_derived(stats: dict) -> None:
     stats["requests"] = requests
     stats["hit_rate"] = (stats.get("cache_hits", 0) / requests
                          if requests else 0.0)
-    partial = stats.get("partial_hits", 0) + stats.get("partial_misses", 0)
-    stats["partial_requests"] = partial
-    stats["partial_hit_rate"] = (stats.get("partial_hits", 0) / partial
-                                 if partial else 0.0)
 
 
 def _sum_seed_hits(parts: Sequence[dict]) -> int:

@@ -59,7 +59,6 @@ def _seeded_engine(task: dict, options: SchedulerOptions,
     engine = SearchEngine(workers=1, cache=cache,
                           partial_reuse=options.partial_reuse,
                           sparsity=options.sparsity,
-                          batch=options.batch,
                           cache_size=cache_size)
     return engine, cache
 
@@ -69,10 +68,9 @@ def _scheduler_options(task: dict) -> SchedulerOptions:
     shard = task.get("shard")
     return SchedulerOptions(objective=task["objective"],
                             sparsity=build_sparsity_spec(task),
-                            batch=opts["batch"],
-                            batch_gen=opts["batch_gen"],
                             # .get: journals written before the option
-                            # existed resume with the default (on).
+                            # existed resume with the default (on).  Keys
+                            # of since-removed options are ignored.
                             bound=bool(opts.get("bound", True)),
                             cache_size=opts["cache_size"],
                             shard=tuple(shard) if shard else None)

@@ -3,13 +3,16 @@
 Centralises the small workload/architecture pairs that
 ``test_scheduler.py``, ``test_search_engine.py`` and the equivalence
 suites all used to build inline, the outcome-equality assertions the
-oracle and batch differentials share, and the golden-fixture machinery
-(``tests/golden/*.json``, refreshed with ``pytest --update-golden``).
+oracle and batch differentials share, the switch onto the scalar
+(no-numpy) evaluation and generation paths those differentials compare
+against, and the golden-fixture machinery (``tests/golden/*.json``,
+refreshed with ``pytest --update-golden``).
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 from repro.arch import conventional, diannao_like, tiny
@@ -120,6 +123,32 @@ def search_outcome(result):
         "energy_pj": result.cost.energy_pj if found else None,
         "evaluations": result.evaluations,
     }
+
+
+# ---------------------------------------------------------------------------
+# the scalar paths
+# ---------------------------------------------------------------------------
+
+@contextmanager
+def scalar_paths():
+    """Run the block on the paths a numpy-less install takes.
+
+    Clears the one numpy switch, ``repro.optional_numpy.np``, in place;
+    every vectorised path reads it when called.  The search engine then
+    evaluates rows with the scalar model (over its process pool when
+    ``workers > 1``), cohorts stage no matrices, the exhaustive space is
+    walked without the index decoder, and factor lattices and constraint
+    filters run their scalar loops.  Numpy stays importable, so
+    vectorised and scalar runs can be compared in one process.
+    """
+    import repro.optional_numpy as switch
+
+    saved = switch.np
+    switch.np = None
+    try:
+        yield
+    finally:
+        switch.np = saved
 
 
 # ---------------------------------------------------------------------------

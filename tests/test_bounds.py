@@ -242,11 +242,10 @@ def test_exhaustive_scalar_path_matches_vector_path_under_bounds():
     trajectory: same winner *and* same evaluation count."""
     workload = harness.tiny_mttkrp()
     arch = harness.small_arch()
-    vector = exhaustive_search(workload, arch, orders_per_level=2,
-                               batch_gen=True)
-    scalar = exhaustive_search(workload, arch, orders_per_level=2,
-                               batch_gen=False)
-    from tests.harness import assert_same_search_result
+    vector = exhaustive_search(workload, arch, orders_per_level=2)
+    from tests.harness import assert_same_search_result, scalar_paths
+    with scalar_paths():
+        scalar = exhaustive_search(workload, arch, orders_per_level=2)
     assert_same_search_result(vector, scalar)
     assert (vector.search_stats.bound_candidates_skipped
             == scalar.search_stats.bound_candidates_skipped)

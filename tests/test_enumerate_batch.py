@@ -1,13 +1,14 @@
 """Differential suite: batch generation is bit-identical to scalar.
 
 ``Space.enumerate_batch`` / the cohort pipeline (``repro.mapspace.batch``
-+ ``SearchEngine.evaluate_cohort`` + the mappers' ``batch_gen`` paths)
-must reproduce the scalar pipeline *bit-for-bit*: same candidates, same
-order under a fixed seed, same shard unions, same prune counters, same
-best mapping / cost / evaluation counts.  Every test here runs both
-paths and compares — with or without numpy (without it the batch path
-degrades to chunked scalar enumeration, which must still satisfy the
-same contract).
++ ``SearchEngine.evaluate_cohort``) must reproduce the scalar pipeline
+*bit-for-bit*: same candidates, same order under a fixed seed, same shard
+unions, same prune counters, same best mapping / cost / evaluation
+counts.  Every test here runs both paths and compares — the mapper
+differentials switch onto the no-numpy paths with
+``harness.scalar_paths``; on a numpy-less install the batch path degrades
+to chunked scalar enumeration, which must still satisfy the same
+contract.
 """
 
 from __future__ import annotations
@@ -35,10 +36,11 @@ from repro.mapspace import (
     full_mapping_space,
     full_space_cohorts,
 )
-from repro.mapspace.batch import HAVE_NUMPY, NestCohort
+from repro.mapspace.batch import NestCohort
 from repro.mapspace.mapspace import assignment_slots
 from repro.mapspace.tile import TileSpace
 from repro.mapspace.unroll import UnrollSpace
+from repro.model import HAVE_NUMPY
 from repro.search import SearchEngine, mapping_fingerprint
 from tests import harness
 
@@ -317,13 +319,19 @@ def test_evaluate_cohort_scalar_fallback_matches():
         pytest.skip("needs the vectorized decode (numpy)")
     cohort = next(iter(full_space_cohorts(workload, arch, 2)))
     mappings = [cohort.materialize(i) for i in range(len(cohort))]
-    with SearchEngine(workers=1, batch=False) as a, \
-            SearchEngine(workers=1, batch=False) as b:
-        batch_costs = a.evaluate_cohort(cohort)
+    with SearchEngine(workers=1) as vectorised:
+        batch_costs = vectorised.evaluate_cohort(cohort)
+    with harness.scalar_paths(), SearchEngine(workers=1) as a, \
+            SearchEngine(workers=1) as b:
+        cohort_costs = a.evaluate_cohort(cohort)
         scalar_costs = b.evaluate_many(mappings)
-        assert ([_cost_tuple(c) for c in batch_costs]
-                == [_cost_tuple(c) for c in scalar_costs])
-        assert a.stats.evaluations == b.stats.evaluations
+    assert ([_cost_tuple(c) for c in cohort_costs]
+            == [_cost_tuple(c) for c in scalar_costs]
+            == [_cost_tuple(c) for c in batch_costs])
+    assert a.stats.evaluations == b.stats.evaluations
+    assert a.stats.batched_evaluations == b.stats.batched_evaluations == 0
+    assert (vectorised.stats.batched_evaluations
+            == vectorised.stats.evaluations > 0)
 
 
 def test_nest_cohort_materialize_roundtrip():
@@ -344,26 +352,33 @@ def test_nest_cohort_materialize_roundtrip():
 
 
 # ---------------------------------------------------------------------------
-# mappers: batch_gen on == batch_gen off, bit for bit
+# mappers: vectorised paths == scalar paths, bit for bit
 # ---------------------------------------------------------------------------
 
-def _schedule(workload, arch, batch_gen, **overrides):
-    options = SchedulerOptions(batch_gen=batch_gen, **overrides)
-    return SunstoneScheduler(workload, arch, options).schedule()
+def _on_and_off(search):
+    """``search()`` on the vectorised paths and on the scalar ones."""
+    on = search()
+    with harness.scalar_paths():
+        off = search()
+    return on, off
+
+
+def _schedule(workload, arch, **overrides):
+    options = SchedulerOptions(**overrides)
+    return _on_and_off(
+        lambda: SunstoneScheduler(workload, arch, options).schedule())
 
 
 @pytest.mark.parametrize("direction", ["bottom-up", "top-down"])
 def test_sunstone_batch_gen_is_bit_identical(direction):
     workload = harness.medium_mttkrp()
     arch = harness.medium_arch()
-    on = _schedule(workload, arch, True, direction=direction)
-    off = _schedule(workload, arch, False, direction=direction)
+    on, off = _schedule(workload, arch, direction=direction)
     harness.assert_same_outcome(on, off)
 
 
 def test_sunstone_batch_gen_conv_is_bit_identical(small_conv, small_arch):
-    on = _schedule(small_conv, small_arch, True)
-    off = _schedule(small_conv, small_arch, False)
+    on, off = _schedule(small_conv, small_arch)
     harness.assert_same_outcome(on, off)
 
 
@@ -371,8 +386,7 @@ def test_sunstone_batch_gen_sharded_is_bit_identical():
     workload = harness.medium_mttkrp()
     arch = harness.medium_arch()
     for index in range(2):
-        on = _schedule(workload, arch, True, shard=(index, 2))
-        off = _schedule(workload, arch, False, shard=(index, 2))
+        on, off = _schedule(workload, arch, shard=(index, 2))
         harness.assert_same_outcome(on, off)
 
 
@@ -380,21 +394,20 @@ def test_exhaustive_batch_gen_is_bit_identical():
     workload = harness.tiny_mttkrp()
     arch = harness.small_arch()
     for shard in (None, (0, 3), (2, 3)):
-        on = exhaustive_search(workload, arch, orders_per_level=2,
-                               shard=shard, batch_gen=True)
-        off = exhaustive_search(workload, arch, orders_per_level=2,
-                                shard=shard, batch_gen=False)
-        harness.assert_same_search_result(on, off)
+        for bound in (True, False):
+            on, off = _on_and_off(lambda: exhaustive_search(
+                workload, arch, orders_per_level=2, shard=shard,
+                bound=bound))
+            harness.assert_same_search_result(on, off)
 
 
 def test_exhaustive_batch_gen_shards_union_to_full():
     workload = harness.tiny_mttkrp()
     arch = harness.small_arch()
-    full = exhaustive_search(workload, arch, orders_per_level=2,
-                             batch_gen=True)
+    full = exhaustive_search(workload, arch, orders_per_level=2)
     parts = [
         exhaustive_search(workload, arch, orders_per_level=2,
-                          shard=(i, 4), batch_gen=True)
+                          shard=(i, 4))
         for i in range(4)
     ]
     # Each shard runs its own branch-and-bound incumbent, so per-shard
@@ -415,30 +428,31 @@ def test_exhaustive_batch_gen_shards_union_to_full():
 def test_interstellar_batch_gen_is_bit_identical():
     workload = harness.medium_mttkrp()
     arch = harness.medium_arch()
-    on = interstellar_search(workload, arch, batch_gen=True)
-    off = interstellar_search(workload, arch, batch_gen=False)
+    on, off = _on_and_off(lambda: interstellar_search(workload, arch))
     harness.assert_same_search_result(on, off)
 
 
 def test_dmazerunner_batch_gen_is_bit_identical():
     workload = harness.medium_mttkrp()
     arch = harness.medium_arch()
-    on = dmazerunner_search(workload, arch, batch_gen=True)
-    off = dmazerunner_search(workload, arch, batch_gen=False)
+    on, off = _on_and_off(lambda: dmazerunner_search(workload, arch))
     harness.assert_same_search_result(on, off)
 
 
 def test_random_driven_mappers_unaffected_by_batch_gen():
-    """timeloop/gamma/cosa generate candidates from RNG state one at a
-    time — there is no batch generation path to diverge, and their
-    determinism per seed is what the equivalence suite already pins.
-    This asserts the scalar generators still go through evaluate_many
-    (no accidental coupling to batch_gen)."""
+    """No mapper takes a generation or evaluation path switch: the
+    vectorised and scalar paths are chosen by numpy's presence alone,
+    and the random-driven mappers (timeloop/gamma/cosa) generate from
+    RNG state one candidate at a time through evaluate_many."""
     import inspect
 
     from repro.baselines.cosa import cosa_search
     from repro.baselines.gamma import gamma_search
     from repro.baselines.random_search import timeloop_search
 
-    for fn in (cosa_search, gamma_search, timeloop_search):
-        assert "batch_gen" not in inspect.signature(fn).parameters
+    for fn in (cosa_search, gamma_search, timeloop_search,
+               dmazerunner_search, exhaustive_search, interstellar_search):
+        params = inspect.signature(fn).parameters
+        assert "batch_gen" not in params and "batch" not in params
+    options = inspect.signature(SchedulerOptions).parameters
+    assert "batch_gen" not in options and "batch" not in options

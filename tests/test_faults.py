@@ -4,6 +4,11 @@ Pins the crash-safety guarantee of docs/SEARCH.md: under injected worker
 crashes, chunk timeouts and evaluation exceptions, every search returns
 the *bit-identical* best mapping and cost of a fault-free run, and every
 recovery event is counted in ``SearchStats.faults``.
+
+The process pool is the evaluation path of a numpy-less install; the
+``scalar`` fixture puts these tests on that path (numpy stays installed,
+only the engine's availability flag is cleared), so every run drives a
+real 2-worker pool.
 """
 
 import pytest
@@ -14,9 +19,18 @@ from repro.mapping.serialize import mapping_to_dict
 from repro.search import FaultPlan, InjectedFault, SearchEngine, plan_from_env
 from repro.search.faults import checkpoint_kill_after, trip_chunk_fault
 from repro.workloads import conv1d
+from tests.harness import scalar_paths
 
 WORKLOAD = conv1d(K=4, C=4, P=14, R=3)
 ARCH = tiny(l1_words=64, l2_words=512, pes=4)
+
+
+@pytest.fixture(autouse=True)
+def scalar():
+    """Every test here runs on the no-numpy paths, where ``workers > 1``
+    reaches the process pool."""
+    with scalar_paths():
+        yield
 
 
 def _cost_tuple(result):
@@ -24,9 +38,9 @@ def _cost_tuple(result):
 
 
 def _oracle():
-    """Fault-free serial reference (batch off: same pipeline the pooled
+    """Fault-free serial reference (the same scalar pipeline the pooled
     runs use, minus the pool)."""
-    return schedule(WORKLOAD, ARCH, SchedulerOptions(batch=False))
+    return schedule(WORKLOAD, ARCH, SchedulerOptions())
 
 
 def _pooled(plan, **engine_kwargs):
@@ -36,12 +50,13 @@ def _pooled(plan, **engine_kwargs):
     runners — the recovery paths under test need actual worker
     processes to crash.
     """
-    engine = SearchEngine(workers=2, batch=False, fault_plan=plan,
+    engine = SearchEngine(workers=2, fault_plan=plan,
                           clamp_workers=False, **engine_kwargs)
     with engine:
-        result = schedule(WORKLOAD, ARCH,
-                          SchedulerOptions(workers=2, batch=False),
+        result = schedule(WORKLOAD, ARCH, SchedulerOptions(workers=2),
                           engine=engine)
+    # The sweep's cohorts really went over the pool.
+    assert "pool" in engine.stats.stage_time_s
     return result, engine.stats.faults
 
 
@@ -179,9 +194,8 @@ def test_repeated_crashes_degrade_to_serial_bit_identically():
 
 def test_inprocess_eval_fault_is_retried():
     plan = FaultPlan(eval_faults={0})
-    engine = SearchEngine(workers=1, batch=False, fault_plan=plan)
-    result = schedule(WORKLOAD, ARCH, SchedulerOptions(batch=False),
-                      engine=engine)
+    engine = SearchEngine(workers=1, fault_plan=plan)
+    result = schedule(WORKLOAD, ARCH, SchedulerOptions(), engine=engine)
     oracle = _oracle()
     assert engine.stats.faults.injected == 1
     assert engine.stats.faults.retries == 1
@@ -194,8 +208,7 @@ def test_inprocess_eval_fault_exhausts_retries():
     from repro.baselines.random_search import sample_random_mapping
 
     plan = FaultPlan(eval_faults={0}, attempts=99)
-    engine = SearchEngine(workers=1, batch=False, cache=False,
-                          fault_plan=plan)
+    engine = SearchEngine(workers=1, cache=False, fault_plan=plan)
     mapping = sample_random_mapping(WORKLOAD, ARCH, random.Random(0))
     with pytest.raises(InjectedFault):
         engine.evaluate(mapping)
@@ -227,7 +240,7 @@ def test_cli_picks_up_fault_env(monkeypatch, tmp_path, capsys):
     monkeypatch.setenv("REPRO_FAULTS", "evalexc@0")
     stats_path = tmp_path / "stats.json"
     code = main(["schedule", "--workload", "conv1d", "--arch", "tiny",
-                 "--no-batch", "--stats-json", str(stats_path),
+                 "--stats-json", str(stats_path),
                  "K=4", "C=4", "P=14", "R=3"])
     capsys.readouterr()
     assert code == 0

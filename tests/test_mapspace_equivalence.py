@@ -1,6 +1,6 @@
 """Oracle-backed equivalence: the mapspace refactor preserved behaviour.
 
-``repro.mapspace._oracle`` holds verbatim copies of the inline candidate
+``tests/mapspace_oracle.py`` holds verbatim copies of the inline candidate
 generators every mapper used before being refactored onto the declarative
 mapspace IR.  These tests prove the refactor is behaviour-preserving
 bit-for-bit: same candidate streams, same best mapping (by fingerprint),
@@ -32,7 +32,12 @@ from repro.baselines.random_search import (
 )
 from repro.core.scheduler import SchedulerOptions, SunstoneScheduler
 from repro.mapspace import full_mapping_space, prime_factors
-from repro.mapspace._oracle import (
+from repro.mapspace.mapspace import spatial_boundaries
+from repro.search import SearchEngine, mapping_fingerprint
+from repro.workloads import mttkrp
+from repro.workloads.networks import resnet18
+from tests.harness import assert_same_outcome as _assert_same_outcome
+from tests.mapspace_oracle import (
     OracleSunstoneScheduler,
     make_oracle_dmaze,
     make_oracle_interstellar,
@@ -42,11 +47,6 @@ from repro.mapspace._oracle import (
     oracle_sample_random_mapping,
     oracle_spatial_slots,
 )
-from repro.mapspace.mapspace import spatial_boundaries
-from repro.search import SearchEngine, mapping_fingerprint
-from repro.workloads import mttkrp
-from repro.workloads.networks import resnet18
-from tests.harness import assert_same_outcome as _assert_same_outcome
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Bit-identity and regression harness for ``repro.model.batch``.
 
-Pins the PR's determinism contract: the vectorised cohort evaluator and
-the term-level partial cache produce results bit-identical to the plain
-scalar ``evaluate()`` — every float field, the validity verdict and the
-violation strings — across window/halo workloads, bypass configurations
-and sparsity specs; and a level sweep with the partial cache recomputes
-strictly fewer terms than a cold one.
+Pins the determinism contract: the vectorised cohort evaluator produces
+results bit-identical to the plain scalar ``evaluate()`` — every float
+field, the validity verdict and the violation strings — across
+window/halo workloads, bypass configurations, sparsity specs and random
+per-level loop orders, whichever producer staged the cohort (a
+``Mapping`` list or a nest cohort); and the engine counts as vectorised
+exactly the rows the array path ran.
 """
 
 import json
@@ -21,17 +22,13 @@ from repro.cli import main
 from repro.core import SchedulerOptions, schedule
 from repro.mapping import build_mapping
 from repro.mapping.serialize import mapping_to_dict
-from repro.model import (
-    HAVE_NUMPY,
-    PartialEvalCache,
-    evaluate,
-    evaluate_batch,
-    model_info,
-)
-from repro.model import batch as batch_mod
+from repro.mapspace.batch import NestCohort
+from repro.model import HAVE_NUMPY, evaluate, evaluate_batch
+from repro.model.batch import MIN_BATCH, mapping_nests
 from repro.search import SearchEngine
 from repro.sparse import SparsitySpec
 from repro.workloads import conv1d, conv2d, make_workload, mttkrp
+from tests.harness import scalar_paths
 
 
 def _matmul(i=8, j=8, k=8):
@@ -89,14 +86,14 @@ def _assert_same(a, b, context):
 
 
 # ---------------------------------------------------------------------------
-# Satellite (c): seeded-hypothesis bit-identity property
+# seeded-hypothesis bit-identity property
 # ---------------------------------------------------------------------------
 
 
 @given(seed=st.integers(min_value=0, max_value=10**9))
 @settings(max_examples=30, deadline=None, derandomize=True)
-def test_batch_and_partial_cache_bitwise_identical(seed):
-    """Scalar, scalar+partial-cache and vectorised paths agree exactly."""
+def test_batch_bitwise_identical(seed):
+    """Scalar, Mapping-list and nest-cohort paths agree exactly."""
     rng = random.Random(seed)
     workload, arch = _CASES[rng.randrange(len(_CASES))]
     sparsity = rng.choice([None, _SPARSE])
@@ -105,171 +102,178 @@ def test_batch_and_partial_cache_bitwise_identical(seed):
 
     scalar = [evaluate(m, partial_reuse=partial_reuse, sparsity=sparsity)
               for m in mappings]
-    cache = PartialEvalCache(partial_reuse=partial_reuse, sparsity=sparsity)
-    cached = [evaluate(m, partial_reuse=partial_reuse, sparsity=sparsity,
-                       partial_cache=cache)
-              for m in mappings]
-    # Second pass replays every term from the cache.
-    replayed = [evaluate(m, partial_reuse=partial_reuse, sparsity=sparsity,
-                         partial_cache=cache)
-                for m in mappings]
     batched = evaluate_batch(mappings, partial_reuse=partial_reuse,
                              sparsity=sparsity)
-    fresh_cache = PartialEvalCache(partial_reuse=partial_reuse,
-                                   sparsity=sparsity)
-    batched_cached = evaluate_batch(mappings, partial_reuse=partial_reuse,
-                                    sparsity=sparsity,
-                                    partial_cache=fresh_cache)
     context = (workload.name, arch.name, sparsity is not None,
                partial_reuse)
     for i, oracle in enumerate(scalar):
-        _assert_same(oracle, cached[i], context + ("partial-cache", i))
-        _assert_same(oracle, replayed[i], context + ("replay", i))
         _assert_same(oracle, batched[i], context + ("batch", i))
-        _assert_same(oracle, batched_cached[i],
-                     context + ("batch+cache", i))
-    assert cache.hits > 0  # the replay pass must actually reuse terms
+    cohort = NestCohort.from_nests(workload, arch,
+                                   [mapping_nests(m) for m in mappings])
+    rows = list(range(len(mappings)))
+    staged = cohort.evaluate_rows(rows, partial_reuse, sparsity)
+    if not HAVE_NUMPY:
+        assert staged is None  # no geometry: the engine goes scalar
+        return
+    for i, oracle in enumerate(scalar):
+        _assert_same(oracle, staged[i], context + ("cohort", i))
+    # A row subset stages only those rows, in the order asked for.
+    subset = rows[::-3]
+    picked = cohort.evaluate_rows(subset, partial_reuse, sparsity)
+    for got, i in zip(picked, subset):
+        _assert_same(scalar[i], got, context + ("subset", i))
 
 
 def test_violation_messages_match_mapping_validate():
-    """The batch path's fast validity check mirrors Mapping.validate()."""
+    """The array path's fast validity check mirrors Mapping.validate(),
+    whichever producer staged the cohort."""
     rng = random.Random(7)
     saw_invalid = 0
     for workload, arch in _CASES:
-        for mapping in _random_mappings(workload, arch, rng, 16):
-            expected = mapping.validate()
-            (result,) = evaluate_batch([mapping] * 4)[:1]
-            assert result.violations == expected
-            saw_invalid += bool(expected)
+        mappings = _random_mappings(workload, arch, rng, 16)
+        assert len(mappings) >= MIN_BATCH  # evaluate_batch stages them
+        expected = [m.validate() for m in mappings]
+        batched = evaluate_batch(mappings)
+        assert [r.violations for r in batched] == expected
+        # A nest cohort stages every row it is asked for, at any size.
+        staged = NestCohort.from_nests(
+            workload, arch, [mapping_nests(m) for m in mappings]
+        ).evaluate_rows(list(range(len(mappings))), True, None)
+        if HAVE_NUMPY:
+            assert [r.violations for r in staged] == expected
+        else:
+            assert staged is None
+        saw_invalid += sum(map(bool, expected))
     assert saw_invalid > 0  # the sample must exercise the invalid branch
 
 
 # ---------------------------------------------------------------------------
-# Satellite (c): partial-cache reuse regression
-# ---------------------------------------------------------------------------
-
-
-def test_level_perturbation_reuses_untouched_terms():
-    """Perturbing only outer levels recomputes strictly fewer terms.
-
-    The base mapping keeps innermost *relevant* loops (Q, S) at L2, so
-    every tensor's L1-side fill suffix terminates there; moving a C
-    factor between L2's outer portion and DRAM — a sweep/polish move on
-    the outer levels — must replay all L1-side terms from the cache and
-    recompute only the pairs the move actually touches.
-    """
-    workload, arch = _CASES[1]  # conv2d on conventional (L1, L2, DRAM)
-    num = arch.num_levels
-    orders = [list(workload.dims) for _ in range(num)]
-
-    def mapping_with(l1_temporal):
-        temporal = [dict() for _ in range(num)]
-        temporal[1] = dict(l1_temporal)  # residual completes at the top
-        return build_mapping(workload, arch,
-                             temporal=temporal,
-                             spatial=[dict() for _ in range(num)],
-                             orders=orders)
-
-    base = mapping_with({"Q": 6, "S": 3})
-    perturbed = mapping_with({"Q": 6, "S": 3, "C": 2})
-
-    cache = PartialEvalCache()
-    evaluate(base, partial_cache=cache)
-    cold_misses = cache.misses
-    assert cache.hits == 0 and cold_misses > 0
-    evaluate(perturbed, partial_cache=cache)
-    delta = cache.misses - cold_misses
-    assert delta < cold_misses  # strictly fewer recomputations
-    assert cache.hits > 0  # untouched levels replayed verbatim
-
-
-def test_partial_cache_is_config_bound():
-    cache = PartialEvalCache(partial_reuse=True, sparsity=None)
-    with pytest.raises(ValueError):
-        cache.check_config(False, None)
-    with pytest.raises(ValueError):
-        cache.check_config(True, _SPARSE)
-    mapping = _random_mappings(*_CASES[0], random.Random(0), 1)[0]
-    with pytest.raises(ValueError):
-        evaluate(mapping, partial_reuse=False, partial_cache=cache)
-
-
-def test_partial_cache_lru_bound_evicts():
-    cache = PartialEvalCache(max_entries=4)
-    rng = random.Random(3)
-    for mapping in _random_mappings(*_CASES[0], rng, 8):
-        evaluate(mapping, partial_cache=cache)
-    assert len(cache) <= 4
-    assert cache.evictions > 0
-
-
-# ---------------------------------------------------------------------------
-# Tentpole: engine routing determinism (workers x cache x batch)
+# engine routing determinism (workers x cache x numpy)
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("sparsity", [None, _SPARSE])
 def test_scheduler_equivalence_across_batch_configs(sparsity):
     workload, arch = _CASES[0]
-    oracle = schedule(workload, arch,
-                      SchedulerOptions(workers=1, cache=False, batch=False,
-                                       sparsity=sparsity))
+    with scalar_paths():
+        oracle = schedule(workload, arch,
+                          SchedulerOptions(workers=1, cache=False,
+                                           sparsity=sparsity))
     assert oracle.found
     oracle_map = mapping_to_dict(oracle.mapping)
     oracle_cost = (oracle.cost.energy_pj, oracle.cost.cycles)
     configs = [
-        dict(workers=1, cache=True, batch=False),
-        dict(workers=1, cache=False, batch=True),
-        dict(workers=1, cache=True, batch=True),
-        dict(workers=2, cache=True, batch=True),
-        dict(workers=1, cache=True, batch=True, cache_size=64),
+        dict(workers=1, cache=True),
+        dict(workers=1, cache=False),
+        dict(workers=2, cache=True),
+        dict(workers=1, cache=True, cache_size=64),
     ]
-    for config in configs:
-        result = schedule(workload, arch,
-                          SchedulerOptions(sparsity=sparsity, **config))
-        assert result.found, config
-        assert mapping_to_dict(result.mapping) == oracle_map, config
-        assert (result.cost.energy_pj, result.cost.cycles) == oracle_cost, \
-            config
+    for scalar in (False, True):
+        for config in configs:
+            if scalar:
+                with scalar_paths():
+                    result = schedule(workload, arch, SchedulerOptions(
+                        sparsity=sparsity, **config))
+            else:
+                result = schedule(workload, arch, SchedulerOptions(
+                    sparsity=sparsity, **config))
+            assert result.found, (scalar, config)
+            assert mapping_to_dict(result.mapping) == oracle_map, \
+                (scalar, config)
+            assert (result.cost.energy_pj, result.cost.cycles) \
+                == oracle_cost, (scalar, config)
 
 
 def test_engine_evaluate_many_routes_through_batch():
     workload, arch = _CASES[3]
     mappings = _random_mappings(workload, arch, random.Random(5), 12)
-    engine = SearchEngine(workers=1, cache=True, batch=True)
+    engine = SearchEngine(workers=1, cache=True)
     results = engine.evaluate_many(mappings)
     oracle = [evaluate(m) for m in mappings]
     for got, want in zip(results, oracle):
         _assert_same(want, got, "engine")
-    if HAVE_NUMPY:
-        assert engine.stats.batched_evaluations > 0
-    assert engine.stats.partial_requests > 0
+    distinct = engine.stats.evaluations
+    assert engine.stats.batched_evaluations == (distinct if HAVE_NUMPY
+                                                else 0)
     assert "model" in engine.stats.stage_time_s
     assert "cache" in engine.stats.stage_time_s
-    # The established alias keeps working.
-    assert engine.evaluate_batch(mappings) == results
+    # One evaluation body: no alias beside the three public names.
+    assert not hasattr(engine, "evaluate_batch")
 
 
-def test_no_numpy_fallback_is_bitwise_scalar(monkeypatch):
+def test_mixed_mapping_list_runs_scalar():
+    """A ``Mapping`` list mixing workloads has no one geometry and runs
+    the scalar model, also when the cache leaves only rows of a second
+    workload to evaluate."""
+    (wl_a, arch_a), (wl_b, arch_b) = _CASES[0], _CASES[3]
+    rng = random.Random(23)
+    mixed = (_random_mappings(wl_a, arch_a, rng, 1)
+             + _random_mappings(wl_b, arch_b, rng, MIN_BATCH))
+    oracle = [evaluate(m) for m in mixed]
+    for got, want in zip(evaluate_batch(mixed), oracle):
+        _assert_same(want, got, "evaluate_batch")
+    engine = SearchEngine(workers=1, cache=True)
+    engine.evaluate(mixed[0])  # row 0 becomes a cache hit
+    for got, want in zip(engine.evaluate_many(mixed), oracle):
+        _assert_same(want, got, "engine")
+    assert engine.stats.batched_evaluations == 0
+
+
+def _count_array_rows(monkeypatch):
+    """Spy on the array rollup: the list of cohort sizes it staged."""
+    import repro.mapspace.batch as cohorts
+    sizes = []
+    real = cohorts.evaluate_geometry
+
+    def spy(workload, arch, t_mat, *args, **kwargs):
+        sizes.append(len(t_mat))
+        return real(workload, arch, t_mat, *args, **kwargs)
+
+    monkeypatch.setattr(cohorts, "evaluate_geometry", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("rows", [3, MIN_BATCH, 12])
+def test_vectorised_count_is_exactly_the_array_rows(rows, monkeypatch):
+    """``batched_evaluations`` counts the rows the array path ran — for a
+    Mapping list and a nest cohort alike, at one shared threshold."""
+    workload, arch = _CASES[3]
+    mappings = _random_mappings(workload, arch, random.Random(17), rows)
+    sizes = _count_array_rows(monkeypatch)
+    many = SearchEngine(workers=1, cache=False)
+    many.evaluate_many(mappings)
+    assert many.stats.evaluations == rows
+    assert many.stats.batched_evaluations == sum(sizes)
+    assert sum(sizes) == (rows if HAVE_NUMPY and rows >= MIN_BATCH else 0)
+    del sizes[:]
+    cohort = SearchEngine(workers=1, cache=False)
+    cohort.evaluate_cohort(NestCohort.from_nests(
+        workload, arch, [mapping_nests(m) for m in mappings]))
+    assert cohort.stats.batched_evaluations == sum(sizes)
+    assert sum(sizes) == (rows if HAVE_NUMPY and rows >= MIN_BATCH else 0)
+
+
+def test_no_numpy_fallback_is_bitwise_scalar():
     workload, arch = _CASES[2]
     mappings = _random_mappings(workload, arch, random.Random(11), 8)
     oracle = [evaluate(m) for m in mappings]
-    monkeypatch.setattr(batch_mod, "_np", None)
-    fallback = evaluate_batch(mappings)
+    with scalar_paths():
+        fallback = evaluate_batch(mappings)
+        engine = SearchEngine(workers=1, cache=False)
+        via_engine = engine.evaluate_many(mappings)
     for got, want in zip(fallback, oracle):
         _assert_same(want, got, "no-numpy")
-    engine = SearchEngine(workers=1, cache=False, batch=True)
-    for got, want in zip(engine.evaluate_many(mappings), oracle):
+    for got, want in zip(via_engine, oracle):
         _assert_same(want, got, "no-numpy-engine")
-    assert engine.stats.batched_evaluations in (0, len(mappings))
+    assert engine.stats.batched_evaluations == 0
 
 
 # ---------------------------------------------------------------------------
-# Satellite (b): bounded caches via the engine's cache_size knob
+# bounded result cache via the engine's cache_size knob
 # ---------------------------------------------------------------------------
 
 
-def test_engine_cache_size_bounds_both_caches():
+def test_engine_cache_size_bounds_result_cache():
     workload, arch = _CASES[3]
     mappings = _random_mappings(workload, arch, random.Random(13), 24)
     engine = SearchEngine(workers=1, cache=True, cache_size=4)
@@ -277,11 +281,8 @@ def test_engine_cache_size_bounds_both_caches():
     assert engine.cache.max_entries == 4
     assert len(engine.cache) <= 4
     assert engine.stats.cache_evictions > 0
-    assert engine.partial_cache.max_entries == 4
-    assert engine.stats.partial_evictions > 0
     unbounded = SearchEngine(workers=1, cache=True, cache_size=0)
     assert unbounded.cache.max_entries is None
-    assert unbounded.partial_cache.max_entries is None
     with pytest.raises(ValueError):
         SearchEngine(cache_size=-1)
 
@@ -292,23 +293,21 @@ def test_stats_profile_fields_merge_and_serialise():
     engine.evaluate_many(_random_mappings(workload, arch,
                                           random.Random(1), 6))
     snapshot = engine.stats.to_dict()
-    for key in ("stage_time_s", "batched_evaluations", "partial_hits",
-                "partial_misses", "partial_evictions",
-                "partial_hit_rate"):
+    for key in ("stage_time_s", "batched_evaluations"):
         assert key in snapshot
+    assert not any(key.startswith("partial") for key in snapshot)
     text = engine.stats.profile_summary()
-    assert "partial-term cache" in text and "stage time" in text
+    assert "vectorised" in text and "stage time" in text
     merged = type(engine.stats)()
     merged.merge(engine.stats)
     merged.merge(engine.stats)
-    assert merged.partial_hits == 2 * engine.stats.partial_hits
     assert merged.batched_evaluations == 2 * engine.stats.batched_evaluations
     for stage, seconds in engine.stats.stage_time_s.items():
         assert merged.stage_time_s[stage] == pytest.approx(2 * seconds)
 
 
 # ---------------------------------------------------------------------------
-# CLI: --profile / --cache-size / --no-batch
+# CLI: --profile / --cache-size, and the scalar paths
 # ---------------------------------------------------------------------------
 
 _CLI_SCHEDULE = ["schedule", "--workload", "conv1d",
@@ -321,20 +320,31 @@ def test_cli_profile_and_stats_json(tmp_path, capsys):
                                  "--stats-json", str(stats_path)])
     assert code == 0
     out = capsys.readouterr().out
-    assert "profile:" in out and "partial-term cache" in out
+    assert "profile:" in out and "vectorised" in out
+    assert "partial-term" not in out
     document = json.loads(stats_path.read_text())
     search = document["search"]
-    assert "stage_time_s" in search and "partial_hits" in search
+    assert "stage_time_s" in search
     assert search["batched_evaluations"] >= 0
 
 
 def test_cli_no_batch_is_bit_identical(tmp_path):
+    """The CLI without vectorised batches (the no-numpy paths) prints
+    the same mapping and cost."""
     default_path = tmp_path / "default.json"
     scalar_path = tmp_path / "scalar.json"
     assert main(_CLI_SCHEDULE + ["--stats-json", str(default_path)]) == 0
-    assert main(_CLI_SCHEDULE + ["--no-batch",
-                                 "--stats-json", str(scalar_path)]) == 0
+    with scalar_paths():
+        assert main(_CLI_SCHEDULE + ["--stats-json", str(scalar_path)]) == 0
     lhs = json.loads(default_path.read_text())
     rhs = json.loads(scalar_path.read_text())
     assert lhs["mapping"] == rhs["mapping"]
     assert lhs["cost"] == rhs["cost"]
+    assert rhs["search"]["batched_evaluations"] == 0
+
+
+def test_cli_batch_flags_are_gone(capsys):
+    for flag in ("--no-batch", "--no-batch-gen"):
+        with pytest.raises(SystemExit):
+            main(_CLI_SCHEDULE + [flag])
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -84,7 +84,7 @@ def test_engine_batch_matches_individual_evaluations():
                 for _ in range(40)]
     fresh = [evaluate(m) for m in mappings]
     with SearchEngine(workers=2, cache=True) as engine:
-        batched = engine.evaluate_batch(mappings)
+        batched = engine.evaluate_many(mappings)
     assert len(batched) == len(fresh)
     for a, b in zip(batched, fresh):
         assert (a.energy_pj, a.cycles, a.valid) == \
@@ -219,10 +219,6 @@ class TestEvalCache:
     def test_rejects_bad_capacity(self):
         with pytest.raises(ValueError, match="0 = unbounded"):
             EvalCache(max_entries=-1)
-        from repro.model.terms import PartialEvalCache
-        with pytest.raises(ValueError, match="0 = unbounded"):
-            PartialEvalCache(max_entries=-1)
-        assert PartialEvalCache(max_entries=0).max_entries is None
 
 
 # ---------------------------------------------------------------------------
@@ -294,12 +290,12 @@ def test_stats_exact_batch_with_duplicates():
                 for _ in range(4)]
     batch = distinct + distinct[:2]  # 2 in-batch duplicates
     engine = SearchEngine(workers=1, cache=True)
-    engine.evaluate_batch(batch)
+    engine.evaluate_many(batch)
     assert engine.stats.batches == 1
     assert engine.stats.evaluations == 4
     assert engine.stats.cache_misses == 4
     assert engine.stats.cache_hits == 2
-    engine.evaluate_batch(distinct)  # all hits now
+    engine.evaluate_many(distinct)  # all hits now
     assert engine.stats.cache_hits == 6
     assert engine.stats.evaluations == 4
 
@@ -410,5 +406,5 @@ def test_engine_without_cache_counts_only_evaluations():
 
 def test_empty_batch_is_fine():
     engine = SearchEngine(workers=2, cache=True)
-    assert engine.evaluate_batch([]) == []
+    assert engine.evaluate_many([]) == []
     engine.close()

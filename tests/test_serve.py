@@ -353,8 +353,7 @@ class TestFleet:
         # immediately rather than burn the retry budget.
         bad = {"type": "schedule", "index": 0, "workload": {"bad": 1},
                "arch": {}, "objective": "edp", "sparsity": None,
-               "shard": None, "options": {"batch": True, "batch_gen": True,
-                                          "cache_size": None}}
+               "shard": None, "options": {"cache_size": None}}
         with pytest.raises(Exception):
             run_task({"job_id": "x", "task": bad, "seed": [], "attempt": 0})
 
@@ -632,6 +631,48 @@ class TestResume:
         assert (sans_timing(restored.result)
                 == sans_timing(uninterrupted.result))
 
+    def test_journal_with_retired_batch_options_resumes_bit_identically(
+            self, tmp_path):
+        """A journal whose job docs still carry the retired ``batch`` and
+        ``batch_gen`` options resumes: every task re-runs from that doc
+        and the outcome is the uninterrupted one."""
+        uninterrupted, = run_jobs([schedule_spec(shards=2)])
+        journal = str(tmp_path / "serve.jsonl")
+        job, = run_jobs([schedule_spec(shards=2)], journal_path=journal)
+
+        # The job doc as earlier releases journaled it, with no task part
+        # and no clean-shutdown marker: a daemon killed before any task.
+        from repro.search.checkpoint import _encode_line
+        legacy = {"batch": True, "batch_gen": True, "bound": True,
+                  "cache_size": None}
+        kept = []
+        for entry in read_journal_entries(journal):
+            if entry.get("type") in ("shutdown", "task"):
+                continue
+            if entry.get("type") == "job":
+                entry["spec"]["options"] = dict(legacy)
+            kept.append(entry)
+        with open(journal, "w", encoding="utf-8") as handle:
+            handle.writelines(_encode_line(e) for e in kept)
+
+        async def body(daemon):
+            restored = daemon.manager.get(job.id)
+            if restored.runner is not None:
+                await restored.runner
+            return restored, daemon.fleet.stats()
+
+        restored, fleet_stats = with_daemon(body, journal_path=journal,
+                                            resume=True)
+        assert restored.state == "done", restored.error
+        assert restored.spec["options"] == legacy
+        assert fleet_stats["tasks_run"] == 2  # both tasks really re-ran
+        for field in ("found", "mapping", "cost", "evaluations",
+                      "certificate"):
+            assert restored.result[field] == uninterrupted.result[field], \
+                field
+        assert (sans_timing(restored.result)
+                == sans_timing(uninterrupted.result))
+
     def test_daemon_journal_survives_with_stale_temp_sweep(self, tmp_path):
         journal = tmp_path / "serve.jsonl"
         stale = tmp_path / "serve.jsonl.deadbeef.tmp"
@@ -695,6 +736,18 @@ class TestHttp:
                 client.result("j99999")
             with pytest.raises(ServeError, match="no route"):
                 client._request("GET", "/frobnicate")
+            return True
+
+        assert http_session(drive)
+
+    def test_retired_batch_options_answer_400(self):
+        def drive(client):
+            from repro.serve import ServeError
+            for option in ("batch", "batch_gen"):
+                with pytest.raises(ServeError,
+                                   match="unknown option") as caught:
+                    client.submit(schedule_spec(options={option: False}))
+                assert caught.value.status == 400
             return True
 
         assert http_session(drive)

@@ -112,8 +112,8 @@ def test_batch_dedup_respects_the_spec():
     cache = EvalCache()
     dense_engine = SearchEngine(cache=cache)
     sparse_engine = SearchEngine(cache=cache, sparsity=SPARSE)
-    dense = dense_engine.evaluate_batch([mapping, mapping])
-    sparse = sparse_engine.evaluate_batch([mapping, mapping])
+    dense = dense_engine.evaluate_many([mapping, mapping])
+    sparse = sparse_engine.evaluate_many([mapping, mapping])
     assert dense[0].energy_pj == dense[1].energy_pj
     assert sparse[0].energy_pj == sparse[1].energy_pj
     assert dense[0].energy_pj != sparse[0].energy_pj

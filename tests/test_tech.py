@@ -13,6 +13,7 @@ their pack/level context, and the two-chiplet preset exercises the
 
 from __future__ import annotations
 
+import contextlib
 import json
 
 import pytest
@@ -40,7 +41,7 @@ from repro.energy import (
     resolve_architecture,
 )
 from repro.model import evaluate
-from repro.model.batch import evaluate_batch
+from repro.model.batch import MIN_BATCH, evaluate_batch
 from repro.search import EvalCache, mapping_fingerprint
 from repro.search.fingerprint import architecture_fingerprint
 from repro.serve.cache import SharedEvalCache
@@ -72,19 +73,21 @@ def test_default_pack_is_the_presets_default(preset):
             == architecture_fingerprint(preset(tech="cmos45")))
 
 
-@pytest.mark.parametrize("options", [
-    SchedulerOptions(),
-    SchedulerOptions(batch_gen=False),
-    SchedulerOptions(bound=False),
-    SchedulerOptions(batch_gen=False, bound=False),
+@pytest.mark.parametrize("options,scalar", [
+    (SchedulerOptions(), False),
+    (SchedulerOptions(), True),
+    (SchedulerOptions(bound=False), False),
+    (SchedulerOptions(bound=False), True),
 ], ids=["default", "no-batch-gen", "no-bound", "scalar-no-bound"])
-def test_default_pack_matches_goldens(options):
-    """Pack resolution must not move any golden outcome, under any of the
-    behaviour-preserving engine toggles."""
+def test_default_pack_matches_goldens(options, scalar):
+    """Pack resolution must not move any golden outcome, under the
+    behaviour-preserving bound toggle, on the vectorised and the scalar
+    (no-numpy) paths."""
     golden = json.loads(
         (harness.GOLDEN_DIR / "sunstone_small_conv.json").read_text())
-    result = SunstoneScheduler(
-        harness.small_conv(), harness.small_arch(), options).schedule()
+    with harness.scalar_paths() if scalar else contextlib.nullcontext():
+        result = SunstoneScheduler(
+            harness.small_conv(), harness.small_arch(), options).schedule()
     assert result.found == golden["found"]
     assert repr(mapping_fingerprint(result.mapping)) == golden["fingerprint"]
     assert result.cost.edp == golden["edp"]
@@ -94,11 +97,13 @@ def test_default_pack_matches_goldens(options):
 def test_default_pack_golden_conventional_all_toggles():
     golden = json.loads(
         (harness.GOLDEN_DIR / "sunstone_mttkrp.json").read_text())
-    for options in (SchedulerOptions(), SchedulerOptions(batch_gen=False),
-                    SchedulerOptions(bound=False)):
-        result = SunstoneScheduler(
-            harness.medium_mttkrp(), harness.medium_arch(),
-            options).schedule()
+    for options, scalar in ((SchedulerOptions(), False),
+                            (SchedulerOptions(), True),
+                            (SchedulerOptions(bound=False), False)):
+        with harness.scalar_paths() if scalar else contextlib.nullcontext():
+            result = SunstoneScheduler(
+                harness.medium_mttkrp(), harness.medium_arch(),
+                options).schedule()
         assert repr(mapping_fingerprint(result.mapping)) == \
             golden["fingerprint"]
         assert result.cost.edp == golden["edp"]
@@ -270,7 +275,7 @@ def test_two_chiplet_scalar_batch_equivalence():
     arch = two_chiplet()
     result = SunstoneScheduler(harness.small_conv(), arch).schedule()
     scalar = evaluate(result.mapping)
-    batch, = evaluate_batch([result.mapping])
+    batch = evaluate_batch([result.mapping] * MIN_BATCH)[0]
     assert batch.energy_pj == scalar.energy_pj
     assert batch.cycles == scalar.cycles
     assert batch.chip2chip_energy == scalar.chip2chip_energy
