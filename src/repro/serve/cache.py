@@ -119,9 +119,11 @@ class SharedEvalCache:
         (pinned by ``tests/test_serve_cache.py``).  Serving a seed
         refreshes recency of the served entries.
         """
+        head = (workload_fp, arch_fp)
         with self._lock:
+            # Slicing never raises: a key shorter than two matches nothing.
             seed = [(key, result) for key, result in self._entries.items()
-                    if key[0] == workload_fp and key[1] == arch_fp]
+                    if key[:2] == head]
             for key, _ in seed:
                 self._entries.move_to_end(key)
             self.seeds_served += 1

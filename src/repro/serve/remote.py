@@ -12,7 +12,8 @@ endpoints on the existing daemon:
 ``POST /heartbeat``  ``{"worker"}`` -> ``{"ok", "leases"}`` — renews
                      every lease the worker holds
 ``POST /parts``      ``{"worker", "lease", "part"|"error"}`` ->
-                     ``{"accepted": bool}``
+                     ``{"accepted": bool}`` (400, and the task failed,
+                     when the part does not decode)
 
 Correctness contract: a lease that is not renewed within
 ``lease_ttl_s`` is **fenced** — removed from the lease table and its
@@ -43,7 +44,7 @@ from typing import Any, Callable
 
 from .client import ServeClient, ServeError
 from .fleet import FleetBackend, WorkerFleet
-from .wire import decode_entries, encode_entries
+from .wire import WireError, decode_entries, encode_entries
 
 #: ``JOBID:INDEX`` — a ``repro worker`` process hard-exits when it
 #: *leases* that task on its first attempt (deterministic stand-in for
@@ -252,10 +253,25 @@ class RemoteFleet(FleetBackend):
 
     def deliver(self, worker_id: Any, lease_id: Any,
                 part: dict | None = None, error: str | None = None) -> dict:
-        """Admit one part (or task error) under exactly-once fencing."""
+        """Admit one part (or task error) under exactly-once fencing.
+
+        The part is decoded before the lease table is touched.  A
+        malformed part (not an object, or entries that do not decode)
+        fails its task with a precise :class:`RemoteTaskError`, exactly
+        as a worker-reported error does, and raises :class:`WireError`
+        so the route answers 400: re-leasing would only loop with a
+        worker that sends the same bytes again.
+        """
         worker = self._workers.get(worker_id)
         if worker is not None:
             worker.last_seen = self._clock()
+        malformed = None
+        if error is None:
+            try:
+                part = _decode_part(part)
+            except WireError as bad:
+                malformed = bad
+                error = f"bad wire document in part: {bad}"
         self._reap()
         record = self._leases.pop(str(lease_id), None) if lease_id else None
         if record is None or record.future.done() or record.cancelled:
@@ -272,17 +288,13 @@ class RemoteFleet(FleetBackend):
             if worker is not None:
                 worker.errors_delivered += 1
             record.future.set_exception(RemoteTaskError(str(error)))
+            if malformed is not None:
+                raise malformed
             return {"accepted": True}
-        if not isinstance(part, dict):
-            # Re-queue rather than lose the task to a malformed POST.
-            self._requeue(record)
-            return {"accepted": False, "reason": "part must be an object"}
-        doc = dict(part)
-        doc["entries"] = decode_entries(doc.get("entries") or [])
         self.tasks_run += 1
         if worker is not None:
             worker.parts_delivered += 1
-        record.future.set_result(doc)
+        record.future.set_result(part)
         return {"accepted": True}
 
     # ------------------------------------------------------------------
@@ -360,6 +372,14 @@ class RemoteFleet(FleetBackend):
             self._queue.remove(record)
         if record.lease is not None:
             self._leases.pop(record.lease, None)
+
+
+def _decode_part(part: Any) -> dict:
+    """A delivered part with its wire entries decoded (or WireError)."""
+    if not isinstance(part, dict):
+        raise WireError(f"part must be an object, got "
+                        f"{type(part).__name__}")
+    return dict(part, entries=decode_entries(part.get("entries", [])))
 
 
 # ---------------------------------------------------------------------------
@@ -449,10 +469,13 @@ class WorkerAgent:
             if not lease_id:
                 continue  # empty poll window; poll again
             payload = doc["payload"]
-            payload["seed"] = decode_entries(payload.get("seed") or [])
-            _honour_worker_kill(payload)
             self.leases_taken += 1
             try:
+                # An undecodable seed is this task's error, not the
+                # worker's: report it rather than exit, or every worker
+                # the task is re-leased to would die the same way.
+                payload["seed"] = decode_entries(payload.get("seed", []))
+                _honour_worker_kill(payload)
                 part = await self._fleet.run(payload)
                 body = {"worker": worker_id, "lease": lease_id,
                         "part": dict(part, entries=encode_entries(

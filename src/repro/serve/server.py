@@ -163,7 +163,7 @@ class ServeDaemon:
             except Exception as error:  # noqa: BLE001 - keep serving
                 status, doc = 500, {"error":
                                     f"{type(error).__name__}: {error}"}
-            payload = (json.dumps(doc, indent=2) + "\n").encode()
+            payload = (json.dumps(doc) + "\n").encode()
             extra = "".join(f"{name}: {value}\r\n"
                             for name, value in headers.items())
             writer.write(
