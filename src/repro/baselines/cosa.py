@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from ..arch.spec import Architecture
 from ..mapping.mapping import build_mapping
 from ..mapspace.factor import prime_factors
-from ..mapspace.spaces import PointSpace
 from ..search import SearchEngine
 from ..sparse.spec import SparsitySpec
 from ..workloads.expression import Workload
@@ -175,14 +174,12 @@ def cosa_search(
         spatial=spatial,
         orders=orders,
     )
-    # CoSA's mapspace is a single point — the solver's one-shot emission —
-    # streamed through the engine like every other composed space.
-    space = PointSpace(mapping)
+    # CoSA's mapspace is a single point — the solver's one-shot emission.
     with engine_scope(engine, workers=1, cache=False,
                       partial_reuse=partial_reuse,
                       sparsity=sparsity,
                       cache_size=cache_size) as eng:
-        (cost,) = eng.evaluate_many(list(space.enumerate()))
+        (cost,) = eng.evaluate_many([mapping])
         stats = eng.stats
     elapsed = time.perf_counter() - start
     return SearchResult(

@@ -11,15 +11,15 @@ mappings.
 
 With ``bound=True`` (the default) the walk is branch-and-bound: the
 space is traversed as a DFS over per-dimension factor-split prefixes,
-and each prefix region is tested against the incumbent via the analytic
-:class:`~repro.mapspace.bounds.BoundModel` (through the
-:meth:`Space.bound` hook).  A pruned prefix discards every completion —
-all remaining split choices *times* all ``P**num_levels`` loop-order
-combinations — in O(1), with the skipped candidate count computed
-analytically (shard-aware).  Pruning only fires when the bound
-*strictly* exceeds the incumbent, which preserves the first-attainer
-tie-break of the linear scan: the returned mapping and cost are
-bit-identical to ``bound=False`` (pinned by ``tests/test_bounds.py``).
+and each prefix region is tested against the incumbent with one call
+of the analytic :meth:`~repro.mapspace.bounds.BoundModel.region_bound`.
+A pruned prefix discards every completion — all remaining split choices
+*times* all ``P**num_levels`` loop-order combinations — in O(1), with
+the skipped candidate count computed analytically (shard-aware).
+Pruning only fires when the bound *strictly* exceeds the incumbent,
+which preserves the first-attainer tie-break of the linear scan: the
+returned mapping and cost are bit-identical to ``bound=False`` (pinned
+by ``tests/test_bounds.py``).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .. import optional_numpy
 from ..arch.spec import Architecture
 from ..mapping.mapping import Mapping
 from ..mapspace.batch import SpaceDecoder, full_space_cohorts
-from ..mapspace.bounds import BoundContext, BoundModel, Region
+from ..mapspace.bounds import BoundModel, Region
 from ..mapspace.mapspace import (
     assemble_mapping,
     assignment_slots,
@@ -319,8 +319,7 @@ def _branch_and_bound(
             region = Region.from_splits(
                 workload, arch, dict(zip(dims, prefix)))
             prefix.pop()
-            kids.append((space.bound(objective,
-                                     BoundContext(model, region)), j, split))
+            kids.append((model.region_bound(region), j, split))
             stats.bound_regions_tested += 1
         kids.sort(key=lambda kid: (kid[0], kid[1]))
         for pos, (value, j, split) in enumerate(kids):

@@ -122,12 +122,6 @@ class SchedulerOptions:
     # their union is the full stream, so cooperating processes can split
     # one search without coordination.  None = the whole space.
     shard: tuple[int, int] | None = None
-    # Where a top-down partial parks its residual factors for estimation:
-    # "innermost" (paper-faithful: the estimate is far from the final
-    # energy, so alpha-beta prunes poorly — the Table VI effect) or
-    # "current" (park at the highest undecided level: estimates are real
-    # mappings and the sweep prunes as well as bottom-up).
-    topdown_estimate: str = "innermost"
 
     def __post_init__(self) -> None:
         if self.objective not in ("edp", "energy"):
@@ -140,10 +134,6 @@ class SchedulerOptions:
             )
         if self.alpha_slack < 1.0:
             raise ValueError("alpha_slack must be >= 1.0")
-        if self.topdown_estimate not in ("innermost", "current"):
-            raise ValueError(
-                f"unknown topdown_estimate {self.topdown_estimate}"
-            )
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.cache_size is not None and self.cache_size < 0:
@@ -591,7 +581,7 @@ class SunstoneScheduler:
             spatial=tuple({} for _ in range(num)),
             orders=tuple(None for _ in range(num)),
             frontier=dict(self.workload.dims),
-            sink_level=num - 1 if bottom_up else num - 1,
+            sink_level=num - 1,
         )
         frontier: list[tuple[float, _State]] = [(float("inf"), initial)]
         steps = list(range(num - 1) if bottom_up else range(num - 2, -1, -1))
@@ -1153,15 +1143,15 @@ class SunstoneScheduler:
             new_frontier = {
                 d: tiling.get(d, 1) for d in remaining
             }
+            # Residual factors park at level 0 for estimation (as in the
+            # paper: the estimate is far from the final energy, so
+            # alpha-beta prunes poorly — the Table VI effect).
             return _State(
                 temporal=tuple(temporal),
                 spatial=tuple(spatial),
                 orders=tuple(orders),
                 frontier=new_frontier,
-                sink_level=(
-                    0 if self.options.topdown_estimate == "innermost"
-                    else level
-                ),
+                sink_level=0,
             )
 
         return decisions.map(extend).enumerate(shard=self.options.shard)

@@ -1,10 +1,11 @@
 """repro.mapspace — declarative, deterministic mapping-space IR.
 
 The mapspace IR separates *what the candidate space is* from *how a
-strategy walks it*.  Axes (factor lattices, order tries, unroll and
-bypass choices) are :class:`Space` objects composed with products,
-dependent chains and named pruning passes; every composed space is
-deterministic, sized, and shardable.  See docs/MAPSPACE.md.
+strategy walks it*.  Axes (factor lattices, order tries, tile and unroll
+choices) are :class:`Space` objects composed with products, dependent
+spaces and named pruning passes; every composed space is deterministic,
+sized, and walked one way, through ``enumerate(shard=)``.  See
+docs/MAPSPACE.md.
 """
 
 from .batch import (
@@ -13,15 +14,8 @@ from .batch import (
     NestCohort,
     full_space_cohorts,
 )
-from .bounds import BoundContext, BoundModel, Region
-from .bypass import BypassAssignment, BypassSpace, architecture_assignment
-from .constraints import (
-    capacity_fits,
-    divisibility,
-    tile_capacity_fits,
-    utilization_band,
-    utilization_floor,
-)
+from .bounds import BoundModel, Region
+from .constraints import utilization_band, utilization_floor
 from .factor import (
     DivisorSpace,
     FactorLattice,
@@ -38,15 +32,12 @@ from .mapspace import (
 )
 from .order import OrderSpace, PermutationSpace
 from .spaces import (
-    DEFAULT_COHORT,
     BoundStats,
-    ChainSpace,
     DependentSpace,
     FilteredSpace,
     LazySpace,
     ListSpace,
     MappedSpace,
-    PointSpace,
     ProductSpace,
     PruneStats,
     Space,
@@ -61,19 +52,10 @@ from .tile import (
 )
 from .unroll import UnrollSpace, unroll_size
 
-__all__ = [
-    "BoundContext",
+__all__ = sorted([
     "BoundModel",
     "BoundStats",
-    "Region",
-    "BypassAssignment",
-    "BypassSpace",
-    "ChainSpace",
     "Cohort",
-    "DEFAULT_COHORT",
-    "MatrixCohort",
-    "NestCohort",
-    "full_space_cohorts",
     "DependentSpace",
     "DivisorGridSpace",
     "DivisorSpace",
@@ -84,31 +66,28 @@ __all__ = [
     "ListSpace",
     "MappedSpace",
     "Mapspace",
+    "MatrixCohort",
+    "NestCohort",
     "OrderSpace",
     "PermutationSpace",
-    "PointSpace",
     "ProductSpace",
     "PruneStats",
+    "Region",
     "Space",
     "TileSpace",
     "TruncatedSpace",
     "UnrollSpace",
-    "architecture_assignment",
     "assemble_mapping",
     "assignment_slots",
     "cap_tilings_by_footprint",
-    "capacity_fits",
     "check_shard",
-    "divisibility",
     "full_mapping_space",
+    "full_space_cohorts",
     "ordered_factorizations",
     "prime_factors",
     "spatial_boundaries",
     "stores_from_splits",
-    "tile_capacity_fits",
     "unroll_size",
     "utilization_band",
     "utilization_floor",
-    "DivisorSpace",
-]
-__all__ = sorted(set(__all__))
+])

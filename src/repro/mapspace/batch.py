@@ -35,7 +35,12 @@ from ..mapping.mapping import LevelMapping, Mapping
 from ..model.batch import evaluate_geometry, stage_nests
 from ..workloads.expression import Workload
 from .factor import FactorLattice
-from .spaces import DEFAULT_COHORT, check_shard
+from .spaces import check_shard
+
+# Cohort size of full_space_cohorts: large enough to amortise the numpy
+# staging of repro.model.batch, small enough to keep peak memory and the
+# argmin scan granularity bounded.
+DEFAULT_COHORT = 1024
 
 # Spaces larger than this never take the index-decoded path (the
 # exhaustive driver's evaluation budget rejects them long before, but

@@ -130,16 +130,6 @@ class Region:
         )
 
 
-class BoundContext:
-    """Carries the model + region a :meth:`Space.bound` hook needs."""
-
-    __slots__ = ("model", "region")
-
-    def __init__(self, model: "BoundModel", region: Region) -> None:
-        self.model = model
-        self.region = region
-
-
 class BoundModel:
     """Analytic lower bounds for one (workload, arch, objective) triple."""
 
@@ -181,9 +171,6 @@ class BoundModel:
             share_cap = min(below[tinfo.innermost], nonidx)
             self._tensors.append((tinfo, ts, windowed, max(1, share_cap)))
         self._whole: float | None = None
-        # Last-region memo: ProductSpace.bound asks every axis for the
-        # same region, so the hooks would otherwise recompute it D times.
-        self._memo: tuple[Region, float] | None = None
 
     # ------------------------------------------------------------------
     # entry points
@@ -202,13 +189,6 @@ class BoundModel:
 
     def region_bound(self, region: Region) -> float:
         """Provable lower bound of the objective over ``region``."""
-        if self._memo is not None and self._memo[0] is region:
-            return self._memo[1]
-        value = self._region_bound(region)
-        self._memo = (region, value)
-        return value
-
-    def _region_bound(self, region: Region) -> float:
         info = self.info
         arch = self.arch
         num = info.num_levels

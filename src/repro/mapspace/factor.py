@@ -18,7 +18,7 @@ import math
 from typing import Any, Iterator, Sequence
 
 from .. import optional_numpy
-from .spaces import DEFAULT_COHORT, Space, check_shard
+from .spaces import Space
 
 # Above this many raw prime placements (slots ** num_primes) the
 # vectorized lattice would materialise an unreasonably large staging
@@ -78,15 +78,6 @@ class FactorLattice(Space):
     def size(self) -> int:
         return ordered_factorizations(self.extent, len(self.slots))
 
-    def bound(self, objective: str, context: Any = None) -> float:
-        """Analytic lower bound from the decided-factor region carried
-        by ``context`` (a :class:`repro.mapspace.bounds.BoundContext`);
-        the lattice itself holds no cost information, so without a
-        context nothing can be pruned."""
-        if context is None or getattr(context, "model", None) is None:
-            return float("-inf")
-        return context.model.region_bound(context.region)
-
     def _generate(self) -> Iterator[tuple[int, ...]]:
         slots = len(self.slots)
         if not self.primes:
@@ -133,33 +124,6 @@ class FactorLattice(Space):
         _, first = np.unique(splits, axis=0, return_index=True)
         return splits[np.sort(first)]
 
-    def enumerate_batch(
-        self,
-        seed: int | None = None,
-        shard: tuple[int, int] | None = None,
-        batch_size: int = DEFAULT_COHORT,
-    ) -> Iterator[list]:
-        if seed is not None:
-            yield from super().enumerate_batch(seed, shard, batch_size)
-            return
-        matrix = self.split_matrix()
-        if matrix is None:
-            yield from super().enumerate_batch(seed, shard, batch_size)
-            return
-        shard = check_shard(shard)
-        if shard is not None:
-            index, count = shard
-            matrix = matrix[index::count]
-        rows = matrix.tolist()  # python ints, bit-identical to scalar
-        for start in range(0, len(rows), batch_size):
-            yield [tuple(row) for row in rows[start:start + batch_size]]
-
-    def batch_axis_items(self) -> list:
-        matrix = self.split_matrix()
-        if matrix is None:
-            return list(self._generate())
-        return [tuple(row) for row in matrix.tolist()]
-
     def sample(self, rng) -> dict[Any, int]:
         """One uniform prime-placement draw: each prime factor lands in
         ``rng.choice(self.slots)``.  Returns slot label -> factor.
@@ -174,18 +138,6 @@ class FactorLattice(Space):
             slot = rng.choice(self.slots)
             split[slot] *= p
         return split
-
-    def divisibility_ok(self, split: Sequence[int]) -> bool:
-        """Constraint predicate: ``split`` is a lattice member (right
-        arity, positive factors, product equal to the extent)."""
-        if len(split) != len(self.slots):
-            return False
-        product = 1
-        for factor in split:
-            if factor < 1 or self.extent % factor != 0:
-                return False
-            product *= factor
-        return product == self.extent
 
 
 class DivisorSpace(Space):
@@ -210,6 +162,3 @@ class DivisorSpace(Space):
 
     def _generate(self) -> Iterator[int]:
         return iter(self._choices)
-
-    def batch_axis_items(self) -> list:
-        return list(self._choices)

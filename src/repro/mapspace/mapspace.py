@@ -19,7 +19,7 @@ from ..mapping.mapping import LevelMapping, Mapping
 from ..workloads.expression import Workload
 from .factor import FactorLattice
 from .order import PermutationSpace
-from .spaces import FilteredSpace, ProductSpace, PruneStats, Space
+from .spaces import ProductSpace, Space
 
 Slot = "tuple[str, int]"
 
@@ -102,45 +102,23 @@ def assemble_mapping(
 
 
 class Mapspace(Space):
-    """A composed mapping space with named axes and shared prune stats.
+    """A composed mapping space with named axes.
 
     ``root`` is the composed :class:`Space` that yields the candidates;
-    ``axes`` names the constituent axis spaces for reporting (sizes per
-    axis, docs, tests); ``stats`` collects per-pass drop counters from
-    every pruning pass attached via :meth:`constrain`.
+    ``axes`` names the constituent axis spaces (the exhaustive walker
+    reads its split and ordering axes from here).
     """
 
-    def __init__(
-        self,
-        root: Space,
-        axes: MappingT[str, Space] | None = None,
-        stats: PruneStats | None = None,
-        name: str = "mapspace",
-    ) -> None:
+    def __init__(self, root: Space,
+                 axes: MappingT[str, Space] | None = None) -> None:
         self.root = root
         self.axes = dict(axes) if axes else {}
-        self.stats = stats if stats is not None else PruneStats()
-        self.name = name
 
     def size(self) -> int:
         return self.root.size()
 
-    def bound(self, objective: str, context=None) -> float:
-        return self.root.bound(objective, context)
-
     def _generate(self) -> Iterator:
         return self.root.enumerate()
-
-    def constrain(self, predicate, name: str) -> "Mapspace":
-        """Append a named pruning pass; drops are counted in ``stats``."""
-        self.root = FilteredSpace(self.root, predicate, name, self.stats)
-        return self
-
-    def axis_sizes(self) -> dict[str, int]:
-        return {name: axis.size() for name, axis in self.axes.items()}
-
-    def prune_report(self) -> dict[str, dict[str, int]]:
-        return self.stats.to_dict()
 
 
 def full_mapping_space(
@@ -175,4 +153,4 @@ def full_mapping_space(
         f"tiling[{d}]": lattice for d, lattice in zip(dims, lattices)
     }
     axes["ordering"] = orderings
-    return Mapspace(root, axes=axes, name="full")
+    return Mapspace(root, axes=axes)

@@ -46,11 +46,6 @@ class OrderSpace(Space):
     def _generate(self) -> Iterator[OrderingCandidate]:
         return iter(self.candidates())
 
-    def batch_axis_items(self) -> list[OrderingCandidate]:
-        # The trie materialises (and records its node stats) exactly
-        # once, whichever path touches it first — same as scalar.
-        return self.candidates()
-
 
 class PermutationSpace(Space):
     """All permutations of ``dims`` in :func:`itertools.permutations`
@@ -64,6 +59,3 @@ class PermutationSpace(Space):
 
     def _generate(self) -> Iterator[tuple[str, ...]]:
         return iter(itertools.permutations(self.dims))
-
-    def batch_axis_items(self) -> list[tuple[str, ...]]:
-        return list(itertools.permutations(self.dims))

@@ -23,16 +23,8 @@ spaces they compose and how they walk them; see docs/MAPSPACE.md.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Sequence
-
-Shard = "tuple[int, int] | None"
-
-# Cohort size of the batch generation path: large enough to amortise the
-# numpy staging of repro.model.batch, small enough to keep peak memory
-# and the argmin scan granularity bounded.
-DEFAULT_COHORT = 1024
+from typing import Any, Callable, Iterator, Sequence
 
 
 def check_shard(shard: tuple[int, int] | None) -> tuple[int, int] | None:
@@ -141,19 +133,6 @@ class PruneStats:
         if not kept:
             self.dropped[name] = self.dropped.get(name, 0) + 1
 
-    def record_many(self, name: str, considered: int, kept: int) -> None:
-        """Bulk-record a whole cohort through one pass.
-
-        Equivalent to ``considered`` calls to :meth:`record` of which
-        ``kept`` passed — the batch generation path uses this so its
-        counters stay bit-identical to the scalar stream's.
-        """
-        if considered:
-            self.considered[name] = self.considered.get(name, 0) + considered
-        if considered > kept:
-            self.dropped[name] = (self.dropped.get(name, 0)
-                                  + considered - kept)
-
     def kept(self, name: str) -> int:
         return self.considered.get(name, 0) - self.dropped.get(name, 0)
 
@@ -181,11 +160,7 @@ class Space:
     """Abstract declarative candidate space.
 
     Subclasses implement ``size()`` and ``_generate()``; ``enumerate()``
-    layers the determinism/seed/shard contract on top.  ``seed=None``
-    (the default) keeps the canonical order; a non-``None`` seed applies
-    a deterministic Fisher-Yates shuffle (materialising the stream), so
-    stochastic searches can draw reproducible random walks from the same
-    declarative object.
+    layers the determinism/shard contract on top.
     """
 
     def size(self) -> int:
@@ -194,19 +169,10 @@ class Space:
     def _generate(self) -> Iterator:
         raise NotImplementedError
 
-    def enumerate(
-        self,
-        seed: int | None = None,
-        shard: tuple[int, int] | None = None,
-    ) -> Iterator:
+    def enumerate(self, shard: tuple[int, int] | None = None) -> Iterator:
         """Lazily yield candidates; deterministic, optionally sharded."""
         shard = check_shard(shard)
-        stream: Iterator = self._generate()
-        if seed is not None:
-            items = list(stream)
-            random.Random(seed).shuffle(items)
-            stream = iter(items)
-        return _shard_stream(stream, shard)
+        return _shard_stream(self._generate(), shard)
 
     def __iter__(self) -> Iterator:
         return self.enumerate()
@@ -214,65 +180,6 @@ class Space:
     def materialize(self) -> list:
         """The full candidate list in canonical order."""
         return list(self.enumerate())
-
-    # ------------------------------------------------------------------
-    # batch generation
-    # ------------------------------------------------------------------
-    def enumerate_batch(
-        self,
-        seed: int | None = None,
-        shard: tuple[int, int] | None = None,
-        batch_size: int = DEFAULT_COHORT,
-    ) -> Iterator[list]:
-        """Yield the ``enumerate`` stream chunked into cohorts.
-
-        The contract is strict: concatenating the yielded lists must be
-        *bit-identical* to ``list(self.enumerate(seed, shard))`` — same
-        items, same order, same side effects on shared
-        :class:`PruneStats` counters.  The base implementation chunks
-        the scalar stream (the no-numpy fallback); subclasses override
-        it with vectorized producers that preserve the same contract.
-        """
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        chunk: list = []
-        for item in self.enumerate(seed, shard):
-            chunk.append(item)
-            if len(chunk) >= batch_size:
-                yield chunk
-                chunk = []
-        if chunk:
-            yield chunk
-
-    def batch_axis_items(self) -> list | None:
-        """The full candidate list when enumeration is side-effect free.
-
-        :class:`ProductSpace` uses this to decide whether an axis can be
-        materialised once and indexed, instead of re-enumerated per
-        outer step.  Spaces whose enumeration mutates shared state per
-        pull (e.g. :class:`FilteredSpace` recording prune counters)
-        must return ``None`` so the product falls back to the scalar
-        recursion and the side effects replay exactly.
-        """
-        return None
-
-    # ------------------------------------------------------------------
-    # branch-and-bound
-    # ------------------------------------------------------------------
-    def bound(self, objective: str, context: Any = None) -> float:
-        """Provable lower bound of ``objective`` over every candidate in
-        this space, or ``-inf`` when no bound is derivable (the
-        conservative default — a ``-inf`` bound never prunes anything).
-
-        ``context`` carries whatever the concrete space needs to turn
-        its geometry into a number — for the factor/tile lattices a
-        :class:`repro.mapspace.bounds.BoundContext` (the analytic
-        :class:`~repro.mapspace.bounds.BoundModel` plus the region of
-        decided factors).  Searches prune a space only when its bound
-        *strictly* exceeds the incumbent, so any sound underestimate is
-        safe here (docs/MAPSPACE.md).
-        """
-        return float("-inf")
 
     # ------------------------------------------------------------------
     # combinators
@@ -304,16 +211,6 @@ class ListSpace(Space):
     def _generate(self) -> Iterator:
         return iter(self._items)
 
-    def batch_axis_items(self) -> list:
-        return self._items
-
-
-class PointSpace(ListSpace):
-    """A single-candidate space (e.g. CoSA's one-shot emission)."""
-
-    def __init__(self, item: Any) -> None:
-        super().__init__([item])
-
 
 class LazySpace(Space):
     """Space materialised on first use by a thunk (cached thereafter)."""
@@ -333,9 +230,6 @@ class LazySpace(Space):
     def _generate(self) -> Iterator:
         return iter(self._ensure())
 
-    def batch_axis_items(self) -> list:
-        return self._ensure()
-
 
 class MappedSpace(Space):
     def __init__(self, inner: Space, fn: Callable[[Any], Any]) -> None:
@@ -345,29 +239,8 @@ class MappedSpace(Space):
     def size(self) -> int:
         return self._inner.size()
 
-    def bound(self, objective: str, context: Any = None) -> float:
-        # ``fn`` relabels candidates without changing which mappings the
-        # space denotes, so the inner geometry's bound carries over.
-        return self._inner.bound(objective, context)
-
     def _generate(self) -> Iterator:
         return (self._fn(item) for item in self._inner.enumerate())
-
-    def enumerate_batch(
-        self,
-        seed: int | None = None,
-        shard: tuple[int, int] | None = None,
-        batch_size: int = DEFAULT_COHORT,
-    ) -> Iterator[list]:
-        if seed is not None:
-            # Seeded order shuffles the *mapped* items; delegating would
-            # apply ``fn`` in shuffled order.  The items would match for
-            # pure fns, but the chunked scalar path is exact always.
-            yield from super().enumerate_batch(seed, shard, batch_size)
-            return
-        fn = self._fn
-        for batch in self._inner.enumerate_batch(None, shard, batch_size):
-            yield [fn(item) for item in batch]
 
 
 class FilteredSpace(Space):
@@ -387,55 +260,12 @@ class FilteredSpace(Space):
         return sum(1 for item in self._inner.enumerate()
                    if self._predicate(item))
 
-    def bound(self, objective: str, context: Any = None) -> float:
-        # The survivors are a subset of the inner space, so any lower
-        # bound over the superset is a (possibly loose) bound here too.
-        return self._inner.bound(objective, context)
-
     def _generate(self) -> Iterator:
         for item in self._inner.enumerate():
             kept = self._predicate(item)
             self.stats.record(self.name, kept)
             if kept:
                 yield item
-
-    def enumerate_batch(
-        self,
-        seed: int | None = None,
-        shard: tuple[int, int] | None = None,
-        batch_size: int = DEFAULT_COHORT,
-    ) -> Iterator[list]:
-        if seed is not None:
-            # The scalar path filters (recording every candidate) before
-            # shuffling; replicating that ordering-sensitive interleaving
-            # here buys nothing, so defer to the exact chunked stream.
-            yield from super().enumerate_batch(seed, shard, batch_size)
-            return
-        shard = check_shard(shard)
-        predicate = self._predicate
-        batch_predicate = getattr(predicate, "batch", None)
-        kept_index = 0  # global index into the *filtered* stream
-        out: list = []
-        for batch in self._inner.enumerate_batch(None, None, batch_size):
-            if batch_predicate is not None:
-                mask = list(batch_predicate(batch))
-            else:
-                mask = [predicate(item) for item in batch]
-            survivors = [item for item, ok in zip(batch, mask) if ok]
-            self.stats.record_many(self.name, len(batch), len(survivors))
-            if shard is None:
-                out.extend(survivors)
-            else:
-                index, count = shard
-                for item in survivors:
-                    if kept_index % count == index:
-                        out.append(item)
-                    kept_index += 1
-            while len(out) >= batch_size:
-                yield out[:batch_size]
-                out = out[batch_size:]
-        if out:
-            yield out
 
 
 class TruncatedSpace(Space):
@@ -450,10 +280,6 @@ class TruncatedSpace(Space):
 
     def size(self) -> int:
         return min(self._inner.size(), self._count)
-
-    def bound(self, objective: str, context: Any = None) -> float:
-        # A prefix is a subset: the superset's bound still holds.
-        return self._inner.bound(objective, context)
 
     def _generate(self) -> Iterator:
         # The quota check runs immediately after the yield so the inner
@@ -489,13 +315,6 @@ class ProductSpace(Space):
             total *= axis.size()
         return total
 
-    def bound(self, objective: str, context: Any = None) -> float:
-        # Every candidate combines one item from each axis, so each
-        # axis's bound holds for the whole product; take the tightest.
-        return max((axis.bound(objective, context)
-                    for axis in self._axes),
-                   default=float("-inf"))
-
     def _generate(self) -> Iterator:
         def recurse(index: int, chosen: list) -> Iterator:
             if index == len(self._axes):
@@ -507,49 +326,6 @@ class ProductSpace(Space):
                 chosen.pop()
 
         return recurse(0, [])
-
-    def enumerate_batch(
-        self,
-        seed: int | None = None,
-        shard: tuple[int, int] | None = None,
-        batch_size: int = DEFAULT_COHORT,
-    ) -> Iterator[list]:
-        """Index-decoded product when every axis is side-effect pure.
-
-        The scalar recursion re-enumerates inner axes once per outer
-        step; an axis whose enumeration carries side effects (a
-        filtered axis recording prune counters per re-enumeration)
-        therefore cannot be materialised once without changing the
-        counters — such axes report ``batch_axis_items() is None`` and
-        the product falls back to chunking the recursion.
-        """
-        if seed is not None:
-            yield from super().enumerate_batch(seed, shard, batch_size)
-            return
-        axis_items = [axis.batch_axis_items() for axis in self._axes]
-        if any(items is None for items in axis_items):
-            yield from super().enumerate_batch(seed, shard, batch_size)
-            return
-        shard = check_shard(shard)
-        total = 1
-        for items in axis_items:
-            total *= len(items)
-        start, step = (0, 1) if shard is None else shard
-        combine = self._combine
-        chunk: list = []
-        for k in range(start, total, step):
-            rem = k
-            parts = []
-            for items in reversed(axis_items):
-                rem, digit = divmod(rem, len(items))
-                parts.append(items[digit])
-            parts.reverse()
-            chunk.append(combine(*parts))
-            if len(chunk) >= batch_size:
-                yield chunk
-                chunk = []
-        if chunk:
-            yield chunk
 
 
 class DependentSpace(Space):
@@ -573,49 +349,8 @@ class DependentSpace(Space):
         return sum(self._fn(item).size()
                    for item in self._outer.enumerate())
 
-    def bound(self, objective: str, context: Any = None) -> float:
-        # Inner spaces vary per outer item; only the outer geometry is
-        # common to every candidate.
-        return self._outer.bound(objective, context)
-
     def _generate(self) -> Iterator:
         for item in self._outer.enumerate():
             inner = self._fn(item)
             for sub in inner.enumerate():
                 yield self._combine(item, sub)
-
-
-class ChainSpace(Space):
-    """Concatenation of spaces, in order."""
-
-    def __init__(self, parts: Sequence[Space]) -> None:
-        self._parts = list(parts)
-
-    def size(self) -> int:
-        return sum(part.size() for part in self._parts)
-
-    def bound(self, objective: str, context: Any = None) -> float:
-        # A candidate may come from any part: only the loosest part
-        # bound holds for the union.
-        return min((part.bound(objective, context)
-                    for part in self._parts),
-                   default=float("-inf"))
-
-    def _generate(self) -> Iterator:
-        for part in self._parts:
-            yield from part.enumerate()
-
-    def enumerate_batch(
-        self,
-        seed: int | None = None,
-        shard: tuple[int, int] | None = None,
-        batch_size: int = DEFAULT_COHORT,
-    ) -> Iterator[list]:
-        if seed is not None or shard is not None:
-            # Sharding indexes the concatenated stream globally; routing
-            # it into per-part shards needs each part's size up front,
-            # which re-enumerates filtered parts.  Chunk scalar instead.
-            yield from super().enumerate_batch(seed, shard, batch_size)
-            return
-        for part in self._parts:
-            yield from part.enumerate_batch(None, None, batch_size)

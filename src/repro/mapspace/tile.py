@@ -33,15 +33,6 @@ from ..workloads.expression import Workload
 from .spaces import LazySpace, Space
 
 
-def _region_bound(context) -> float:
-    """Shared hook body for geometry spaces: delegate to the analytic
-    :class:`repro.mapspace.bounds.BoundModel` when a context supplies
-    one, otherwise never prune."""
-    if context is None or getattr(context, "model", None) is None:
-        return float("-inf")
-    return context.model.region_bound(context.region)
-
-
 def cap_tilings_by_footprint(
     tilings: list[dict[str, int]],
     cap: int,
@@ -114,9 +105,6 @@ class TileSpace(LazySpace):
 
         super().__init__(build)
 
-    def bound(self, objective: str, context=None) -> float:
-        return _region_bound(context)
-
 
 class ExhaustiveTileSpace(LazySpace):
     """Every fitting divisor combination (no maximality pruning)."""
@@ -136,9 +124,6 @@ class ExhaustiveTileSpace(LazySpace):
             stats=stats, dims=dims,
         ))
 
-    def bound(self, objective: str, context=None) -> float:
-        return _region_bound(context)
-
 
 class DivisorGridSpace(Space):
     """The raw divisor grid: every combination of per-dimension divisor
@@ -156,9 +141,6 @@ class DivisorGridSpace(Space):
         for d in self.dims:
             total *= len(divisors(self.remaining[d]))
         return total
-
-    def bound(self, objective: str, context=None) -> float:
-        return _region_bound(context)
 
     def _generate(self) -> Iterator[dict[str, int]]:
         choice_lists = [divisors(self.remaining[d]) for d in self.dims]

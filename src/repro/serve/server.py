@@ -206,7 +206,9 @@ class ServeDaemon:
             raw = await reader.readexactly(length)
             try:
                 body = json.loads(raw)
-            except ValueError:
+            except (ValueError, RecursionError):
+                # A body nested past the recursion limit is as invalid
+                # as a syntax error, not a server fault.
                 raise _HttpError(400, "body is not valid JSON")
         return method.upper(), target, body
 

@@ -231,10 +231,7 @@ class OracleSunstoneScheduler(SunstoneScheduler):
                         spatial=tuple(spatial),
                         orders=tuple(orders),
                         frontier=new_frontier,
-                        sink_level=(
-                            0 if self.options.topdown_estimate == "innermost"
-                            else level
-                        ),
+                        sink_level=0,
                     )
 
 

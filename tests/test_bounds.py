@@ -18,6 +18,7 @@ Plus the user-facing surface: the per-search optimality certificate on
 
 from __future__ import annotations
 
+import contextlib
 import json
 from dataclasses import replace
 
@@ -249,6 +250,28 @@ def test_exhaustive_scalar_path_matches_vector_path_under_bounds():
     assert_same_search_result(vector, scalar)
     assert (vector.search_stats.bound_candidates_skipped
             == scalar.search_stats.bound_candidates_skipped)
+
+
+@pytest.mark.parametrize("scalar", [False, True], ids=["numpy", "scalar"])
+def test_exhaustive_bounds_each_tested_region_once(monkeypatch, scalar):
+    """The walker asks the model once per tested prefix region, plus
+    once for the certificate's whole-space bound."""
+    calls = 0
+    region_bound = BoundModel.region_bound
+
+    def counted(self, region):
+        nonlocal calls
+        calls += 1
+        return region_bound(self, region)
+
+    monkeypatch.setattr(BoundModel, "region_bound", counted)
+    workload = mttkrp(8, 4, 2, 8)
+    arch = harness.small_arch()
+    with harness.scalar_paths() if scalar else contextlib.nullcontext():
+        result = exhaustive_search(workload, arch, orders_per_level=2)
+    tested = result.search_stats.bound_regions_tested
+    assert result.found and tested > 0
+    assert calls == tested + 1
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -1,196 +1,58 @@
-"""Differential suite: batch generation is bit-identical to scalar.
+"""Differential suite: the cohort pipeline is bit-identical to scalar.
 
-``Space.enumerate_batch`` / the cohort pipeline (``repro.mapspace.batch``
-+ ``SearchEngine.evaluate_cohort``) must reproduce the scalar pipeline
-*bit-for-bit*: same candidates, same order under a fixed seed, same shard
-unions, same prune counters, same best mapping / cost / evaluation
-counts.  Every test here runs both paths and compares — the mapper
-differentials switch onto the no-numpy paths with
-``harness.scalar_paths``; on a numpy-less install the batch path degrades
-to chunked scalar enumeration, which must still satisfy the same
-contract.
+The cohort producers (``repro.mapspace.batch``: the full-space
+``SpaceDecoder``/``full_space_cohorts`` and the sweeps' ``NestCohort``)
+and ``SearchEngine.evaluate_cohort`` must reproduce the scalar pipeline
+*bit-for-bit*: the same candidates in the same order as
+``Space.enumerate(shard=)``, the same shard unions, the same best
+mapping / cost / evaluation counts.  Every test here runs both paths
+and compares — the mapper differentials switch onto the no-numpy paths
+with ``harness.scalar_paths``; on a numpy-less install cohorts stage no
+matrices and the exhaustive oracle walks the scalar space, which must
+still satisfy the same contract.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.arch import conventional, tiny
 from repro.baselines.dmazerunner import dmazerunner_search
 from repro.baselines.exhaustive import exhaustive_search
 from repro.baselines.interstellar import interstellar_search
 from repro.core.scheduler import SchedulerOptions, SunstoneScheduler
 from repro.mapspace import (
-    BypassSpace,
-    ChainSpace,
     FactorLattice,
     ListSpace,
-    OrderSpace,
-    ProductSpace,
     PruneStats,
-    divisibility,
     full_mapping_space,
     full_space_cohorts,
 )
 from repro.mapspace.batch import NestCohort
 from repro.mapspace.mapspace import assignment_slots
-from repro.mapspace.tile import TileSpace
-from repro.mapspace.unroll import UnrollSpace
 from repro.model import HAVE_NUMPY
 from repro.search import SearchEngine, mapping_fingerprint
 from tests import harness
 
-SEEDS = (None, 9)
-SHARDS = (None, (0, 3), (2, 3))
-BATCH_SIZES = (1, 7, 1024)
-
-
-def _drain(space, seed=None, shard=None, batch_size=1024):
-    out = []
-    for chunk in space.enumerate_batch(seed=seed, shard=shard,
-                                       batch_size=batch_size):
-        assert isinstance(chunk, list)
-        assert len(chunk) <= batch_size
-        out.extend(chunk)
-    return out
-
-
-def assert_batch_matches_scalar(build_space):
-    """For every (seed, shard, batch_size): concatenated batches equal
-    the scalar stream, and shared PruneStats counters advance alike.
-
-    ``build_space`` is called once per enumeration so stateful pruning
-    counters are compared from a clean slate each time.
-    """
-    for seed, shard, batch_size in itertools.product(
-            SEEDS, SHARDS, BATCH_SIZES):
-        scalar_space, scalar_stats = build_space()
-        scalar = list(scalar_space.enumerate(seed=seed, shard=shard))
-        batch_space, batch_stats = build_space()
-        batch = _drain(batch_space, seed, shard, batch_size)
-        assert batch == scalar, (seed, shard, batch_size)
-        if scalar_stats is not None:
-            assert batch_stats.to_dict() == scalar_stats.to_dict(), (
-                seed, shard, batch_size)
-
 
 # ---------------------------------------------------------------------------
-# domain spaces
+# the factor lattice's split matrix (the decoder's staging)
 # ---------------------------------------------------------------------------
 
+@pytest.mark.skipif(not HAVE_NUMPY, reason="needs numpy")
 def test_factor_lattice_batch_matches_scalar():
+    """``split_matrix()`` row ``i`` is the ``i``-th split of the scalar
+    stream; without numpy there is no matrix."""
     arch = harness.small_arch()
     workload = harness.tiny_mttkrp()
     slots = assignment_slots(arch)
     for dim in workload.dim_names:
-        assert_batch_matches_scalar(
-            lambda dim=dim: (
-                FactorLattice(dim, workload.dims[dim], slots), None))
-
-
-def test_order_space_batch_matches_scalar():
-    workload = harness.small_conv()
-    assert_batch_matches_scalar(lambda: (OrderSpace(workload), None))
-
-
-def test_bypass_space_batch_matches_scalar():
-    workload = harness.small_conv()
-    arch = harness.small_arch()
-    assert_batch_matches_scalar(
-        lambda: (BypassSpace.from_architecture(workload, arch), None))
-
-
-def test_tile_space_batch_matches_scalar():
-    workload = harness.small_conv()
-    arch = harness.small_arch()
-    base = {d: 1 for d in workload.dims}
-    remaining = dict(workload.dims)
-    assert_batch_matches_scalar(
-        lambda: (TileSpace(workload, arch, 0, base, remaining,
-                           workload.dim_names), None))
-
-
-def test_unroll_space_batch_matches_scalar():
-    workload = harness.small_conv()
-    arch = harness.small_arch()
-    fanout = max(level.fanout for level in arch.levels)
-    remaining = dict(workload.dims)
-    assert_batch_matches_scalar(
-        lambda: (UnrollSpace(workload, fanout, remaining), None))
-
-
-# ---------------------------------------------------------------------------
-# combinators
-# ---------------------------------------------------------------------------
-
-def test_list_product_batch_matches_scalar():
-    assert_batch_matches_scalar(
-        lambda: (ProductSpace([ListSpace([1, 2, 3]),
-                               ListSpace(["a", "b"]),
-                               ListSpace([10, 20, 30, 40])]), None))
-
-
-def test_mapped_product_batch_matches_scalar():
-    assert_batch_matches_scalar(
-        lambda: (ProductSpace([ListSpace([1, 2, 3]),
-                               ListSpace([4, 5])]).map(
-                                   lambda pair: pair[0] * 10 + pair[1]),
-                 None))
-
-
-def test_filtered_batch_matches_scalar_with_prune_counters():
-    def build():
-        stats = PruneStats()
-        space = ListSpace(list(range(100))).filter(
-            lambda x: x % 3 != 0, "mod3", stats)
-        return space, stats
-
-    assert_batch_matches_scalar(build)
-
-
-def test_filtered_batch_uses_bulk_predicate():
-    remaining = {"I": 12, "J": 8}
-    predicate = divisibility(remaining)
-    items = [{"I": i, "J": j} for i in range(1, 13) for j in range(1, 9)]
-
-    def build():
-        stats = PruneStats()
-        return ListSpace(items).filter(predicate, "div", stats), stats
-
-    assert_batch_matches_scalar(build)
-    # the bulk mask itself agrees with the scalar predicate
-    assert list(predicate.batch(items)) == [predicate(x) for x in items]
-
-
-def test_chain_batch_matches_scalar():
-    assert_batch_matches_scalar(
-        lambda: (ChainSpace([ListSpace([1, 2, 3]),
-                             ListSpace([]),
-                             ListSpace([4, 5])]), None))
-
-
-def test_product_falls_back_when_axis_is_stateful():
-    """A filtered axis re-records prune counters per outer step in the
-    scalar recursion; the product must not materialise it."""
-    def build():
-        stats = PruneStats()
-        filtered = ListSpace([1, 2, 3, 4]).filter(
-            lambda x: x % 2 == 0, "even", stats)
-        return ProductSpace([ListSpace(["x", "y"]), filtered]), stats
-
-    space, stats = build()
-    filtered_axis = space._axes[1]
-    assert filtered_axis.batch_axis_items() is None
-    assert_batch_matches_scalar(build)
-
-
-def test_enumerate_batch_rejects_bad_batch_size():
-    with pytest.raises(ValueError):
-        list(ListSpace([1]).enumerate_batch(batch_size=0))
+        lattice = FactorLattice(dim, workload.dims[dim], slots)
+        rows = [tuple(row) for row in lattice.split_matrix().tolist()]
+        assert rows == lattice.materialize(), dim
+        with harness.scalar_paths():
+            assert lattice.split_matrix() is None
 
 
 # ---------------------------------------------------------------------------
@@ -239,16 +101,12 @@ def test_full_space_cohort_shards_interleave_exactly(count):
 @given(
     items=st.lists(st.integers(min_value=-50, max_value=50), max_size=40),
     count=st.sampled_from([1, 2, 4, 7]),
-    batch_size=st.sampled_from([1, 3, 1024]),
-    seed=st.sampled_from([None, 0, 13]),
 )
-def test_shard_algebra(items, count, batch_size, seed):
+def test_shard_algebra(items, count):
     space = ListSpace(items)
-    full = list(space.enumerate(seed=seed))
-    shards = [
-        _drain(space, seed=seed, shard=(i, count), batch_size=batch_size)
-        for i in range(count)
-    ]
+    full = list(space.enumerate())
+    shards = [list(space.enumerate(shard=(i, count)))
+              for i in range(count)]
     # each shard is exactly the index-congruent subsequence
     for i, shard in enumerate(shards):
         assert shard == full[i::count]
@@ -267,19 +125,21 @@ def test_shard_algebra(items, count, batch_size, seed):
 )
 def test_shard_algebra_filtered(count, threshold):
     """Sharding applies to the *filtered* stream: congruence classes are
-    taken over surviving candidates."""
+    taken over surviving candidates, and every shard's walk records the
+    whole pass in its prune counters."""
     items = list(range(37))
 
     def build(stats):
         return ListSpace(items).filter(
             lambda x: x % 5 >= threshold, "t", stats)
 
-    full = list(build(PruneStats()).enumerate())
-    shards = [_drain(build(PruneStats()), shard=(i, count), batch_size=4)
-              for i in range(count)]
-    for i, shard in enumerate(shards):
+    full_stats = PruneStats()
+    full = list(build(full_stats).enumerate())
+    for i in range(count):
+        stats = PruneStats()
+        shard = list(build(stats).enumerate(shard=(i, count)))
         assert shard == full[i::count]
-    assert sum(len(s) for s in shards) == len(full)
+        assert stats.to_dict() == full_stats.to_dict()
 
 
 # ---------------------------------------------------------------------------

@@ -21,13 +21,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.arch import tiny
 from repro.mapspace import (
-    ChainSpace,
     DependentSpace,
     DivisorSpace,
     FactorLattice,
     ListSpace,
     PermutationSpace,
-    PointSpace,
     ProductSpace,
     PruneStats,
     check_shard,
@@ -117,35 +115,16 @@ def test_dependent_space_size_matches_stream(outer):
     assert items == [(n, i) for n in outer for i in range(n)]
 
 
-@given(parts=st.lists(st.lists(st.integers(0, 5), max_size=4), max_size=3))
-def test_chain_space_size_matches_stream(parts):
-    space = ChainSpace([ListSpace(p) for p in parts])
-    items = space.materialize()
-    assert space.size() == len(items)
-    assert items == [x for p in parts for x in p]
-
-
 # ---------------------------------------------------------------------------
 # enumeration determinism
 # ---------------------------------------------------------------------------
 
-@given(items=st.lists(st.integers(), max_size=30),
-       seed=st.one_of(st.none(), st.integers(0, 2**32 - 1)))
-def test_enumeration_is_deterministic(items, seed):
+@given(items=st.lists(st.integers(), max_size=30))
+def test_enumeration_is_deterministic(items):
     space = ListSpace(items)
-    first = list(space.enumerate(seed=seed))
-    second = list(space.enumerate(seed=seed))
-    assert first == second
-    assert sorted(first) == sorted(items)
-
-
-@given(items=st.lists(st.integers(), min_size=5, max_size=30, unique=True),
-       seed=st.integers(0, 2**16))
-def test_seeded_shuffle_is_a_permutation(items, seed):
-    space = ListSpace(items)
-    shuffled = list(space.enumerate(seed=seed))
-    assert sorted(shuffled) == sorted(items)
-    assert list(space.enumerate(seed=seed)) == shuffled
+    first = list(space.enumerate())
+    second = list(space.enumerate())
+    assert first == second == items
 
 
 # ---------------------------------------------------------------------------
@@ -195,12 +174,6 @@ def test_head_never_pulls_past_its_quota(items, quota):
     # The cap consumed exactly the items it yielded — never one extra, so
     # upstream side-effect accounting matches a historical early break.
     assert len(pulled) == min(quota, len(items))
-
-
-def test_point_space_is_a_single_item():
-    space = PointSpace("x")
-    assert space.size() == 1
-    assert space.materialize() == ["x"]
 
 
 # ---------------------------------------------------------------------------

@@ -401,6 +401,26 @@ class TestConnectionHardening:
         assert response.startswith(b"HTTP/1.1 400 ")
         assert b"too large" in response
 
+    def test_body_nested_past_recursion_limit_is_rejected_with_400(self):
+        # json.loads raises RecursionError, not ValueError, on a body
+        # this deep.
+        body_bytes = b"[" * 100_000 + b"]" * 100_000
+
+        async def body(daemon):
+            nested = await asyncio.to_thread(
+                raw_http, daemon.port,
+                b"POST /jobs HTTP/1.1\r\n"
+                + f"Content-Length: {len(body_bytes)}\r\n\r\n".encode()
+                + body_bytes)
+            health = await asyncio.to_thread(
+                raw_http, daemon.port, b"GET /healthz HTTP/1.1\r\n\r\n")
+            return nested, health
+
+        nested, health = with_daemon(body)
+        assert nested.startswith(b"HTTP/1.1 400 ")
+        assert b"body is not valid JSON" in nested
+        assert health.startswith(b"HTTP/1.1 200 ")
+
     def test_stalled_request_times_out_with_408(self):
         # A client that connects and never finishes its headers must
         # not pin the handler task forever.

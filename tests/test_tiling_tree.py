@@ -10,7 +10,7 @@ from repro.core import (
     enumerate_tilings,
     next_divisor,
 )
-from repro.core.tiling_tree import placement_fits, tile_fits
+from repro.core.tiling_tree import placement_fits
 from repro.workloads import conv1d, conv2d
 
 
@@ -70,7 +70,8 @@ class TestEnumerateTilings:
                 bigger = dict(tiling)
                 bigger[dim] = bumped
                 sizes = {d: bigger.get(d, 1) for d in conv.dims}
-                assert not tile_fits(conv, arch, 0, sizes), (tiling, dim)
+                assert not placement_fits(conv, arch, 0, sizes, {}), (
+                    tiling, dim)
 
     def test_candidates_fit(self, conv):
         arch = _arch(64)
@@ -80,7 +81,7 @@ class TestEnumerateTilings:
         )
         for tiling in tilings:
             sizes = {d: tiling.get(d, 1) for d in conv.dims}
-            assert tile_fits(conv, arch, 0, sizes)
+            assert placement_fits(conv, arch, 0, sizes, {})
 
     def test_tiny_capacity_yields_minimal_or_nothing(self, conv):
         arch = _arch(4)  # can't hold even a 1-element tile of each tensor?
@@ -108,7 +109,7 @@ class TestEnumerateTilings:
                                     ("P", "K"))
         for tiling in tilings:
             sizes = {d: base[d] * tiling.get(d, 1) for d in conv.dims}
-            assert tile_fits(conv, arch, 0, sizes)
+            assert placement_fits(conv, arch, 0, sizes, {})
 
     def test_stats_accounting(self, conv):
         arch = _arch(64)
@@ -146,14 +147,14 @@ class TestTileFits:
         # Regs (level 0) store only weights; a tile spanning all of N/P/Q
         # implies an ofmap tile of 16*14*14 = 3136 > the 1024-word PEBuf.
         sizes = {"N": 16, "K": 1, "C": 1, "P": 14, "Q": 14, "R": 1, "S": 1}
-        assert not tile_fits(wl, arch, 0, sizes)
+        assert not placement_fits(wl, arch, 0, sizes, {})
         small = {"N": 1, "K": 1, "C": 1, "P": 2, "Q": 2, "R": 1, "S": 1}
-        assert tile_fits(wl, arch, 0, small)
+        assert placement_fits(wl, arch, 0, small, {})
 
     def test_unbounded_top_always_fits(self, conv):
         arch = _arch(64)
         sizes = dict(conv.dims)
-        assert tile_fits(conv, arch, 2, sizes)
+        assert placement_fits(conv, arch, 2, sizes, {})
 
 
 class TestPlacementFits:
