@@ -108,18 +108,16 @@ def test_sunstone_mttkrp_benchmark(benchmark, wl):
 # Sparse variant: the same workloads under their nnz-derived sparsity
 # ---------------------------------------------------------------------------
 
-def _sparse_rows(workloads, arch, workers=1):
+def _sparse_rows(workloads, arch):
     """Schedule each workload dense and under its attached nnz-derived
     sparsity spec; report the sparse model's view of both mappings."""
     rows = []
     for wl in workloads:
         spec = workload_sparsity(wl)
-        dense = schedule(wl, arch,
-                         SchedulerOptions(objective="energy",
-                                          workers=workers))
+        dense = schedule(wl, arch, SchedulerOptions(objective="energy"))
         sparse = schedule(wl, arch,
                           SchedulerOptions(objective="energy",
-                                           workers=workers, sparsity=spec))
+                                           sparsity=spec))
         dense_under_sparse = evaluate(dense.mapping, sparsity=spec)
         rows.append((wl, spec, dense, sparse, dense_under_sparse))
     return rows
@@ -164,8 +162,6 @@ def main(argv=None):
     parser.add_argument("--sparse", action="store_true",
                         help="schedule under the nnz-derived sparsity "
                              "specs as well")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="evaluation worker processes")
     args = parser.parse_args(argv)
 
     arch = conventional()
@@ -180,7 +176,7 @@ def main(argv=None):
 
     start = time.perf_counter()
     if args.sparse:
-        rows = _sparse_rows(workloads, arch, workers=args.workers)
+        rows = _sparse_rows(workloads, arch)
         print(f"{'workload':<18} {'density':>9} {'dense uJ':>10} "
               f"{'sparse uJ':>10} {'save':>6}")
         for wl, spec, dense, sparse, dus in rows:
@@ -195,15 +191,14 @@ def main(argv=None):
     else:
         print(f"{'workload':<18} {'EDP':>12} {'energy(uJ)':>11}")
         for wl in workloads:
-            result = schedule(wl, arch,
-                              SchedulerOptions(workers=args.workers))
+            result = schedule(wl, arch)
             if not result.found:
                 print(f"no mapping found for {wl.name}")
                 return 1
             print(f"{wl.name:<18} {result.edp:>12.3e} "
                   f"{result.cost.energy_pj / 1e6:>11.2f}")
     print(f"wall time: {time.perf_counter() - start:.2f}s "
-          f"({len(workloads)} workloads, workers={args.workers}, "
+          f"({len(workloads)} workloads, "
           f"sparse={'on' if args.sparse else 'off'})")
     return 0
 

@@ -132,8 +132,6 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=main.__doc__)
     parser.add_argument("--quick", action="store_true",
                         help="only the first 4 ResNet-18 layers")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="evaluation worker processes")
     parser.add_argument("--no-cache", action="store_true",
                         help="disable cost-result memoisation")
     parser.add_argument("--no-sim", action="store_true",
@@ -143,11 +141,10 @@ def main(argv=None):
     layers = RESNET18_LAYERS[:4] if args.quick else RESNET18_LAYERS
     arch = diannao_like()
     workloads = [layer.inference(batch=1) for layer in layers]
-    options = SchedulerOptions(workers=args.workers,
-                               cache=not args.no_cache)
+    options = SchedulerOptions(cache=not args.no_cache)
 
     start = time.perf_counter()
-    network = schedule_network(workloads, arch, options, dedupe=False)
+    network = schedule_network(workloads, arch, options)
     schedule_s = time.perf_counter() - start
     if not network.all_found:
         missing = [entry.workload.name for entry in network.layers
@@ -177,7 +174,7 @@ def main(argv=None):
         print(f"overall naive/optimized energy: "
               f"{total_naive / total_opt:.2f}x (paper: ~2.9x)")
     print(f"scheduling wall time: {schedule_s:.2f}s "
-          f"({len(layers)} layers, workers={args.workers}, "
+          f"({len(layers)} layers, "
           f"cache={'off' if args.no_cache else 'on'})")
     print(f"search engine: {network.search_stats.summary()}")
     return 0

@@ -8,7 +8,7 @@ Public API highlights
 * :mod:`repro.mapping` — the mapping (dataflow) representation.
 * :mod:`repro.model` — Timeloop-style analytical cost model.
 * :mod:`repro.core` — the Sunstone scheduler itself.
-* :mod:`repro.search` — parallel, memoized evaluation engine (see
+* :mod:`repro.search` — memoized, vectorised evaluation engine (see
   ``docs/SEARCH.md``).
 * :mod:`repro.baselines` — reimplementations of the compared mappers.
 * :mod:`repro.sim` — DianNao-like simulator for the overhead study.

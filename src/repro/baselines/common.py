@@ -8,17 +8,11 @@ from dataclasses import dataclass
 from ..arch.spec import Architecture
 from ..mapspace.factor import prime_factors
 from ..mapspace.mapspace import spatial_boundaries
-from ..search import (
-    MappingOutcome,
-    SearchStats,
-    engine_scope,
-    resolve_engine,
-)
+from ..search import MappingOutcome, SearchStats, resolve_engine
 
 __all__ = [
     "SearchResult",
     "certificate_from_bound",
-    "engine_scope",
     "prime_factors",
     "random_factor_split",
     "resolve_engine",

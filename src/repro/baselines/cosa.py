@@ -31,7 +31,7 @@ from ..mapspace.factor import prime_factors
 from ..search import SearchEngine
 from ..sparse.spec import SparsitySpec
 from ..workloads.expression import Workload
-from .common import SearchResult, engine_scope, spatial_slots
+from .common import SearchResult, resolve_engine, spatial_slots
 
 
 @dataclass(frozen=True)
@@ -175,12 +175,9 @@ def cosa_search(
         orders=orders,
     )
     # CoSA's mapspace is a single point — the solver's one-shot emission.
-    with engine_scope(engine, workers=1, cache=False,
-                      partial_reuse=partial_reuse,
-                      sparsity=sparsity,
-                      cache_size=cache_size) as eng:
-        (cost,) = eng.evaluate_many([mapping])
-        stats = eng.stats
+    eng = resolve_engine(engine, cache=False, partial_reuse=partial_reuse,
+                         sparsity=sparsity, cache_size=cache_size)
+    (cost,) = eng.evaluate_many([mapping])
     elapsed = time.perf_counter() - start
     return SearchResult(
         mapper="cosa-like",
@@ -189,5 +186,5 @@ def cosa_search(
         evaluations=1,
         wall_time_s=elapsed,
         invalid_reason="" if cost.valid else "; ".join(cost.violations),
-        search_stats=stats,
+        search_stats=eng.stats,
     )

@@ -191,7 +191,6 @@ def dmazerunner_search(
     config: DMazeConfig = DMAZE_FAST,
     partial_reuse: bool = True,
     engine=None,
-    workers: int = 1,
     cache: bool = True,
     sparsity: SparsitySpec | None = None,
     cache_size: int | None = None,
@@ -221,7 +220,6 @@ def dmazerunner_search(
         beam_width=config.beam_width,
         objective=config.objective,
         partial_reuse=partial_reuse,
-        workers=workers,
         cache=cache,
         sparsity=sparsity,
         cache_size=cache_size,

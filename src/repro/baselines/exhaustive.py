@@ -40,7 +40,7 @@ from ..mapspace.mapspace import (
 from ..search import SearchEngine
 from ..sparse.spec import SparsitySpec
 from ..workloads.expression import Workload
-from .common import SearchResult, engine_scope
+from .common import SearchResult, resolve_engine
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -55,7 +55,6 @@ def exhaustive_search(
     partial_reuse: bool = True,
     objective: str = "edp",
     engine: SearchEngine | None = None,
-    workers: int = 1,
     cache: bool = True,
     sparsity: SparsitySpec | None = None,
     cache_size: int | None = None,
@@ -91,61 +90,58 @@ def exhaustive_search(
     best = None
     evaluations = 0
     certificate = None
-    with engine_scope(engine, workers, cache, partial_reuse, sparsity,
-                      cache_size) as eng:
-        if bound:
-            best, evaluations, certificate = _branch_and_bound(
-                workload, arch, space, objective, eng, shard,
-                partial_reuse, sparsity)
-            stats = eng.stats
-        elif cohorts is not None:
-            # Vectorized generation: the space is index-decoded straight
-            # into factor matrices in the exact enumeration order; only
-            # per-cohort winners are materialized as Mappings.
-            while True:
-                gen_start = time.perf_counter()
-                cohort = next(cohorts, None)
-                eng.stats.add_stage_time(
-                    "generation", time.perf_counter() - gen_start)
-                if cohort is None:
-                    break
-                costs = eng.evaluate_cohort(cohort)
-                for idx, cost in enumerate(costs):
-                    evaluations += 1
-                    if not cost.valid:
-                        continue
-                    value = (cost.edp if objective == "edp"
-                             else cost.energy_pj)
-                    if best is None or value < best[0]:
-                        best = (value, cohort.materialize(idx), cost)
-            stats = eng.stats
-        else:
-            buffer: list[Mapping] = []
-            # Chunk size for batched evaluation; results are scanned in
-            # enumeration order with a strict < so the winner matches the
-            # one-at-a-time scan exactly.
-            flush_at = max(256, eng.workers * eng.chunk_size)
+    eng = resolve_engine(engine, cache, partial_reuse, sparsity, cache_size)
+    if bound:
+        best, evaluations, certificate = _branch_and_bound(
+            workload, arch, space, objective, eng, shard,
+            partial_reuse, sparsity)
+    elif cohorts is not None:
+        # Vectorized generation: the space is index-decoded straight
+        # into factor matrices in the exact enumeration order; only
+        # per-cohort winners are materialized as Mappings.
+        while True:
+            gen_start = time.perf_counter()
+            cohort = next(cohorts, None)
+            eng.stats.add_stage_time(
+                "generation", time.perf_counter() - gen_start)
+            if cohort is None:
+                break
+            costs = eng.evaluate_cohort(cohort)
+            for idx, cost in enumerate(costs):
+                evaluations += 1
+                if not cost.valid:
+                    continue
+                value = (cost.edp if objective == "edp"
+                         else cost.energy_pj)
+                if best is None or value < best[0]:
+                    best = (value, cohort.materialize(idx), cost)
+    else:
+        buffer: list[Mapping] = []
+        # Chunk size for batched evaluation; results are scanned in
+        # enumeration order with a strict < so the winner matches the
+        # one-at-a-time scan exactly.
+        flush_at = 256
 
-            def flush() -> None:
-                nonlocal best, evaluations
-                costs = eng.evaluate_many(buffer)
-                for mapping, cost in zip(buffer, costs):
-                    evaluations += 1
-                    if not cost.valid:
-                        continue
-                    value = (cost.edp if objective == "edp"
-                             else cost.energy_pj)
-                    if best is None or value < best[0]:
-                        best = (value, mapping, cost)
-                buffer.clear()
+        def flush() -> None:
+            nonlocal best, evaluations
+            costs = eng.evaluate_many(buffer)
+            for mapping, cost in zip(buffer, costs):
+                evaluations += 1
+                if not cost.valid:
+                    continue
+                value = (cost.edp if objective == "edp"
+                         else cost.energy_pj)
+                if best is None or value < best[0]:
+                    best = (value, mapping, cost)
+            buffer.clear()
 
-            for mapping in space.enumerate(shard=shard):
-                buffer.append(mapping)
-                if len(buffer) >= flush_at:
-                    flush()
-            flush()
-            stats = eng.stats
+        for mapping in space.enumerate(shard=shard):
+            buffer.append(mapping)
+            if len(buffer) >= flush_at:
+                flush()
+        flush()
 
+    stats = eng.stats
     elapsed = time.perf_counter() - start
     if best is None:
         return SearchResult(
@@ -239,7 +235,7 @@ def _branch_and_bound(
         np = optional_numpy.np
         pending: list = []  # int64 index arrays of surviving leaf blocks
         pending_n = 0
-        flush_at = max(1024, eng.workers * eng.chunk_size)
+        flush_at = 1024
 
         def flush() -> None:
             nonlocal best, evaluations, pending, pending_n
@@ -275,7 +271,7 @@ def _branch_and_bound(
         # every prune decision and the evaluation count — is identical
         # with and without numpy.
         buffer: list[tuple[int, Mapping]] = []
-        flush_at = max(1024, eng.workers * eng.chunk_size)
+        flush_at = 1024
 
         def flush() -> None:
             nonlocal best, evaluations

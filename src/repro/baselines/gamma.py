@@ -26,7 +26,7 @@ from ..model.cost import CostResult
 from ..search import SearchEngine
 from ..sparse.spec import SparsitySpec
 from ..workloads.expression import Workload
-from .common import SearchResult, engine_scope
+from .common import SearchResult, resolve_engine
 
 
 @dataclass(frozen=True)
@@ -169,18 +169,17 @@ def gamma_search(
     config: GammaConfig = GammaConfig(),
     partial_reuse: bool = True,
     engine: SearchEngine | None = None,
-    workers: int = 1,
     cache: bool = True,
     sparsity: SparsitySpec | None = None,
     cache_size: int | None = None,
 ) -> SearchResult:
     """Run the GAMMA-like genetic search."""
     start = time.perf_counter()
-    with engine_scope(engine, workers, cache, partial_reuse, sparsity,
-                      cache_size) as engine:
-        search = _GammaSearch(workload, arch, config, partial_reuse, engine)
-        outcome = search.run()
-        elapsed = time.perf_counter() - start
+    engine = resolve_engine(engine, cache, partial_reuse, sparsity,
+                            cache_size)
+    search = _GammaSearch(workload, arch, config, partial_reuse, engine)
+    outcome = search.run()
+    elapsed = time.perf_counter() - start
     if outcome is None:
         return SearchResult(
             mapper="gamma-like",

@@ -91,7 +91,6 @@ def interstellar_search(
     config: InterstellarConfig = InterstellarConfig(),
     partial_reuse: bool = True,
     engine=None,
-    workers: int = 1,
     cache: bool = True,
     sparsity: SparsitySpec | None = None,
     cache_size: int | None = None,
@@ -109,7 +108,6 @@ def interstellar_search(
         beam_width=config.beam_width,
         objective=config.objective,
         partial_reuse=partial_reuse,
-        workers=workers,
         cache=cache,
         sparsity=sparsity,
         cache_size=cache_size,

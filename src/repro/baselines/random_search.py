@@ -27,7 +27,7 @@ from ..model.cost import CostResult
 from ..search import SearchEngine
 from ..sparse.spec import SparsitySpec
 from ..workloads.expression import Workload
-from .common import SearchResult, engine_scope
+from .common import SearchResult, resolve_engine
 
 
 @dataclass(frozen=True)
@@ -108,17 +108,14 @@ def timeloop_search(
     constraints: MappingConstraints | None = None,
     partial_reuse: bool = True,
     engine: SearchEngine | None = None,
-    workers: int = 1,
     cache: bool = True,
     sparsity: SparsitySpec | None = None,
     cache_size: int | None = None,
 ) -> SearchResult:
     """Run the Timeloop-like random search.
 
-    Candidates are drawn (and counted) in the exact order the serial
-    sampler would produce; with ``workers > 1`` they are evaluated in
-    batches, and the stopping scan discards any surplus candidates past
-    the victory/timeout point, so the outcome is identical.
+    Candidates are drawn, evaluated and counted one at a time, in the
+    sampler's order, until the victory condition or the timeout.
     """
     rng = random.Random(config.seed)
     start = time.perf_counter()
@@ -126,38 +123,27 @@ def timeloop_search(
     since_improvement = 0
     sampled = 0
 
-    with engine_scope(engine, workers, cache, partial_reuse, sparsity,
-                      cache_size) as eng:
-        batch_size = max(1, eng.workers * eng.chunk_size // 8) \
-            if eng.workers > 1 else 1
-        stopped = False
-        while sampled < config.timeout and not stopped:
-            if (config.wall_clock_limit_s is not None
-                    and time.perf_counter() - start
-                    > config.wall_clock_limit_s):
+    eng = resolve_engine(engine, cache, partial_reuse, sparsity, cache_size)
+    while sampled < config.timeout:
+        if (config.wall_clock_limit_s is not None
+                and time.perf_counter() - start > config.wall_clock_limit_s):
+            break
+        mapping = sample_random_mapping(workload, arch, rng, constraints)
+        (cost,) = eng.evaluate_many([mapping])
+        sampled += 1
+        if not cost.valid:
+            continue
+        value = cost.edp if config.objective == "edp" else cost.energy_pj
+        if best is None or value < best[0]:
+            best = (value, mapping, cost)
+            since_improvement = 0
+        else:
+            since_improvement += 1
+            if since_improvement >= config.victory_condition:
                 break
-            drawn = [
-                sample_random_mapping(workload, arch, rng, constraints)
-                for _ in range(min(batch_size, config.timeout - sampled))
-            ]
-            costs = eng.evaluate_many(drawn)
-            for mapping, cost in zip(drawn, costs):
-                sampled += 1
-                if not cost.valid:
-                    continue
-                value = (cost.edp if config.objective == "edp"
-                         else cost.energy_pj)
-                if best is None or value < best[0]:
-                    best = (value, mapping, cost)
-                    since_improvement = 0
-                else:
-                    since_improvement += 1
-                    if since_improvement >= config.victory_condition:
-                        stopped = True
-                        break
 
-        elapsed = time.perf_counter() - start
-        stats = eng.stats
+    elapsed = time.perf_counter() - start
+    stats = eng.stats
     if best is None:
         return SearchResult(
             mapper="timeloop-like",

@@ -259,7 +259,6 @@ def cmd_schedule(args: argparse.Namespace) -> int:
     arch = build_architecture(args.arch, args.tech)
     sparsity = build_sparsity(args, workload)
     options = SchedulerOptions(objective=args.objective,
-                               workers=args.workers,
                                cache=not args.no_cache,
                                sparsity=sparsity,
                                cache_size=args.cache_size,
@@ -279,15 +278,10 @@ def cmd_schedule(args: argparse.Namespace) -> int:
         if warm is not None:
             # Resume warm: seed the engine with the snapshotted result
             # cache (a pure accelerator — results are bit-identical).
-            engine = SearchEngine(workers=args.workers, cache=warm,
-                                  sparsity=sparsity,
+            engine = SearchEngine(cache=warm, sparsity=sparsity,
                                   cache_size=args.cache_size)
-    if engine is not None:
-        with engine:
-            result = schedule(workload, arch, options, engine=engine,
-                              journal=journal)
-    else:
-        result = schedule(workload, arch, options, journal=journal)
+    result = schedule(workload, arch, options, engine=engine,
+                      journal=journal)
     if not result.found:
         print("no valid mapping found", file=sys.stderr)
         return 1
@@ -339,34 +333,29 @@ def compare_runners(workload: Workload, arch: Architecture,
     pre-warmed engine for the Sunstone row only — the baselines always
     build their own, keeping their exact cold configuration.
     """
-    workers, cache = options.workers, options.cache
-    sparsity, cache_size = options.sparsity, options.cache_size
-    shard, bound = options.shard, options.bound
+    cache, sparsity = options.cache, options.sparsity
+    cache_size, shard, bound = options.cache_size, options.shard, options.bound
     return {
         "sunstone": lambda: schedule(workload, arch, options,
                                      engine=engine),
         "timeloop-like": lambda: timeloop_search(workload, arch,
                                                  TIMELOOP_FAST,
-                                                 workers=workers,
                                                  cache=cache,
                                                  sparsity=sparsity,
                                                  cache_size=cache_size),
         "dmazerunner-like": lambda: dmazerunner_search(workload, arch,
-                                                       workers=workers,
                                                        cache=cache,
                                                        sparsity=sparsity,
                                                        cache_size=cache_size,
                                                        shard=shard,
                                                        bound=bound),
         "interstellar-like": lambda: interstellar_search(
-            workload, arch, workers=workers, cache=cache,
-            sparsity=sparsity, cache_size=cache_size, shard=shard,
-            bound=bound),
+            workload, arch, cache=cache, sparsity=sparsity,
+            cache_size=cache_size, shard=shard, bound=bound),
         "cosa-like": lambda: cosa_search(workload, arch,
                                          sparsity=sparsity,
                                          cache_size=cache_size),
-        "gamma-like": lambda: gamma_search(workload, arch,
-                                           workers=workers, cache=cache,
+        "gamma-like": lambda: gamma_search(workload, arch, cache=cache,
                                            sparsity=sparsity,
                                            cache_size=cache_size),
     }
@@ -412,8 +401,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     workload = build_workload(args.workload, args.dims)
     arch = build_architecture(args.arch, args.tech)
     sparsity = build_sparsity(args, workload)
-    options = SchedulerOptions(workers=args.workers,
-                               cache=not args.no_cache,
+    options = SchedulerOptions(cache=not args.no_cache,
                                sparsity=sparsity,
                                cache_size=args.cache_size,
                                shard=_parse_shard(args.shard),
@@ -487,8 +475,7 @@ def cmd_network(args: argparse.Namespace) -> int:
 
     model = load_model(args.model)
     arch = build_architecture(args.arch, args.tech)
-    options = SchedulerOptions(workers=args.workers,
-                               cache=not args.no_cache,
+    options = SchedulerOptions(cache=not args.no_cache,
                                cache_size=args.cache_size,
                                bound=not args.no_bound)
     journal = _open_journal(args, {
@@ -499,7 +486,6 @@ def cmd_network(args: argparse.Namespace) -> int:
     })
     network = schedule_network(model, arch, options,
                                processes=args.processes,
-                               dedupe=not args.no_dedupe,
                                journal=journal)
     print(network.summary())
     if args.profile:
@@ -825,8 +811,6 @@ def make_parser() -> argparse.ArgumentParser:
         return value
 
     def add_engine_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--workers", type=positive_int, default=1,
-                       help="evaluation worker processes (1 = in-process)")
         p.add_argument("--no-cache", action="store_true",
                        help="disable cost-result memoisation")
         p.add_argument("--no-bound", action="store_true",
@@ -840,8 +824,8 @@ def make_parser() -> argparse.ArgumentParser:
                             "(0 = unbounded; default 200000)")
         p.add_argument("--profile", action="store_true",
                        help="print the per-stage evaluation profile "
-                            "(model/generation/cache/pool time, "
-                            "vectorised share)")
+                            "(model/generation/cache time, vectorised "
+                            "share)")
 
     def add_shard_flag(p: argparse.ArgumentParser) -> None:
         p.add_argument("--shard", metavar="I/N", default=None,
@@ -912,9 +896,11 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("model", help="path to a model JSON (see configs/)")
     p.add_argument("--arch", default="conventional")
     add_tech_flag(p)
-    p.add_argument("--processes", type=int, default=None)
-    p.add_argument("--no-dedupe", action="store_true",
-                   help="search every layer even when shapes repeat")
+    p.add_argument("--processes", type=positive_int, default=None,
+                   metavar="N",
+                   help="search the distinct layer shapes in N worker "
+                        "processes (default: one in-process search "
+                        "sharing a result cache)")
     add_engine_flags(p)
     add_stats_json(p)
     add_checkpoint_flags(p)
@@ -1075,10 +1061,9 @@ class GracefulExit(KeyboardInterrupt):
     """SIGTERM delivered as an exception.
 
     Subclassing :class:`KeyboardInterrupt` reuses every existing
-    interrupt path unchanged — engines drain their pools
-    (``shutdown(cancel_futures=True)``), ``engine_scope`` closes what
-    it owns — while ``main`` can still tell the two apart to return
-    the conventional 128+signal code (143 vs 130).
+    interrupt path unchanged — ``network --processes`` terminates its
+    pool on the way out — while ``main`` can still tell the two apart
+    to return the conventional 128+signal code (143 vs 130).
     """
 
 
@@ -1102,17 +1087,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.func(args)
     except GracefulExit:
-        # Pools are drained on the way out; flush one final journal
+        # Pools are terminated on the way out; flush one final journal
         # append so an orchestrated stop is durably recorded, then exit
         # 128+SIGTERM.  Rerun with --resume to continue.
         flush_active_journals("sigterm")
         print("terminated", file=sys.stderr)
         return 143
     except KeyboardInterrupt:
-        # Engines shut their pools down on the way out (engine_scope +
-        # cancel_futures), so a Ctrl-C exits promptly with the
-        # conventional 128+SIGINT code.  A --checkpoint journal keeps
-        # every completed step; rerun with --resume to continue.
+        # Evaluation runs in-process and ``network --processes``
+        # terminates its pool on the way out, so a Ctrl-C exits promptly
+        # with the conventional 128+SIGINT code.  A --checkpoint journal
+        # keeps every completed step; rerun with --resume to continue.
         flush_active_journals("sigint")
         print("interrupted", file=sys.stderr)
         return 130

@@ -11,8 +11,8 @@ module adds the obvious production conveniences:
 
 from __future__ import annotations
 
+import multiprocessing
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -25,7 +25,13 @@ from ..core.scheduler import (
 )
 from ..mapping.serialize import mapping_from_dict, mapping_to_dict
 from ..model.cost import evaluate as _model_evaluate
-from ..search import CheckpointJournal, SearchEngine, SearchStats, engine_scope
+from ..procpool import watch_parent
+from ..search import (
+    CheckpointJournal,
+    SearchEngine,
+    SearchStats,
+    resolve_engine,
+)
 from ..workloads.expression import Workload
 
 Mapper = Callable[[Workload, Architecture], ScheduleResult]
@@ -153,7 +159,6 @@ def schedule_network(
     mapper: Mapper | None = None,
     processes: int | None = None,
     engine: SearchEngine | None = None,
-    dedupe: bool = True,
     journal: CheckpointJournal | None = None,
 ) -> NetworkSchedule:
     """Schedule every layer of a network, deduplicating identical shapes.
@@ -166,9 +171,8 @@ def schedule_network(
 
     The default Sunstone path shares one evaluation engine (and hence one
     result cache) across all layer searches, so near-identical layers
-    dedupe at the evaluation level too.  ``dedupe=False`` disables the
-    shape-level search sharing (every layer runs its own search; the
-    shared cache then absorbs the repeats).
+    dedupe at the evaluation level too.  Shape sharing never changes a
+    result: a repeated shape would rerun the identical search.
 
     ``journal`` (a :class:`~repro.search.CheckpointJournal`) makes the
     run crash-safe: each completed layer search is persisted, and a
@@ -185,7 +189,7 @@ def schedule_network(
     first_index: dict[tuple, int] = {}
     unique_indices: list[int] = []
     for i, key in enumerate(keys):
-        if dedupe and key in first_index:
+        if key in first_index:
             continue
         first_index[key] = i
         unique_indices.append(i)
@@ -223,37 +227,40 @@ def schedule_network(
                 pending.append(i)
         jobs = [(workloads[i], arch, options) for i in pending]
         if jobs:
-            with ProcessPoolExecutor(max_workers=processes) as pool:
+            # Leaving the block terminates the pool, so an interrupt
+            # (SIGTERM, Ctrl-C) drops the queued layers and stops the
+            # running ones instead of finishing them first.
+            with multiprocessing.Pool(processes,
+                                      initializer=watch_parent) as pool:
                 for i, result in zip(pending,
-                                     pool.map(_schedule_one, jobs)):
+                                     pool.imap(_schedule_one, jobs)):
                     results[i] = result
                     totals.merge(result.stats.search)
                     record(i, result)
     elif mapper is None:
         # Sunstone path: one shared engine (and result cache) spans every
-        # layer search; ``engine_scope`` reuses an injected engine or owns
-        # a fresh one, closing it even if a layer search raises.
-        with engine_scope(engine, workers=opts.workers, cache=opts.cache,
-                          partial_reuse=opts.partial_reuse,
-                          sparsity=opts.sparsity,
-                          cache_size=opts.cache_size) as shared_engine:
+        # layer search.
+        shared_engine = resolve_engine(engine, cache=opts.cache,
+                                       partial_reuse=opts.partial_reuse,
+                                       sparsity=opts.sparsity,
+                                       cache_size=opts.cache_size)
+        if journal is not None:
+            warm = journal.load_cache_snapshot()
+            if warm is not None and shared_engine.cache is not None:
+                for key, value in warm._entries.items():
+                    shared_engine.cache.put(key, value)
+        for i in unique_indices:
+            prior = restored(i, shared_engine)
+            if prior is not None:
+                results[i] = prior
+                continue
+            results[i] = SunstoneScheduler(
+                workloads[i], arch, options,
+                engine=shared_engine).schedule()
+            record(i, results[i])
             if journal is not None:
-                warm = journal.load_cache_snapshot()
-                if warm is not None and shared_engine.cache is not None:
-                    for key, value in warm._entries.items():
-                        shared_engine.cache.put(key, value)
-            for i in unique_indices:
-                prior = restored(i, shared_engine)
-                if prior is not None:
-                    results[i] = prior
-                    continue
-                results[i] = SunstoneScheduler(
-                    workloads[i], arch, options,
-                    engine=shared_engine).schedule()
-                record(i, results[i])
-                if journal is not None:
-                    journal.save_cache_snapshot(shared_engine.cache)
-            totals = shared_engine.stats
+                journal.save_cache_snapshot(shared_engine.cache)
+        totals = shared_engine.stats
     else:
         for i in unique_indices:
             results[i] = mapper(workloads[i], arch)

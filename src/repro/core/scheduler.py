@@ -50,7 +50,7 @@ from ..search import (
     MappingOutcome,
     SearchEngine,
     SearchStats,
-    engine_scope,
+    resolve_engine,
 )
 from ..sparse.spec import SparsitySpec
 from ..workloads.expression import Workload
@@ -94,14 +94,11 @@ class SchedulerOptions:
     # once with widened caps and keep the better result.  Layers that
     # already saturate the array (the common case) never pay for this.
     auto_escalate: bool = True
-    # Evaluation engine: worker processes for candidate batches (1 = fully
-    # in-process) and fingerprint-keyed memoisation of cost results.  Both
-    # are behaviour-preserving: the best mapping and its cost are identical
-    # for every (workers, cache) combination.
-    workers: int = 1
+    # Fingerprint-keyed memoisation of cost results.  Behaviour-preserving:
+    # the best mapping and its cost are identical with the cache on or off.
     cache: bool = True
     # Entry cap of the result cache (None = default bound, 0 =
-    # unbounded); behaviour-preserving like workers/cache.
+    # unbounded); behaviour-preserving like the cache itself.
     cache_size: int | None = None
     # Optional sparsity spec (repro.sparse) forwarded to every cost-model
     # evaluation.  None keeps the dense model bit-identical; the spec is
@@ -134,8 +131,6 @@ class SchedulerOptions:
             )
         if self.alpha_slack < 1.0:
             raise ValueError("alpha_slack must be >= 1.0")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         if self.cache_size is not None and self.cache_size < 0:
             raise ValueError("cache_size must be >= 0 (0 = unbounded)")
         check_shard(self.shard)
@@ -202,8 +197,7 @@ def _state_key(state: _State) -> tuple:
     """Canonical, totally ordered identity of a partial schedule's
     decisions.  Used both to deduplicate frontier states and as the
     tie-break when ranking equal-cost candidates, so the winner never
-    depends on arrival order (which parallel evaluation must be free to
-    change)."""
+    depends on arrival order."""
     return (
         tuple(tuple(sorted(t.items())) for t in state.temporal),
         tuple(tuple(sorted(s.items())) for s in state.spatial),
@@ -236,10 +230,13 @@ class SunstoneScheduler:
         # candidate enumeration is memoised per scheduler instance.
         self._tiling_cache: dict = {}
         self._unroll_cache: dict = {}
-        # Evaluation engine: injected to share a result cache (and pool)
-        # across searches, or built lazily from the options.
-        self._engine = engine
-        self._owns_engine = False
+        # Evaluation engine: injected to share a result cache across
+        # searches, or built from the options.
+        self._engine = resolve_engine(
+            engine, cache=self.options.cache,
+            partial_reuse=self.options.partial_reuse,
+            sparsity=self.options.sparsity,
+            cache_size=self.options.cache_size)
         # Optional crash-safe checkpoint journal (docs/SEARCH.md): after
         # every completed sweep step the frontier and running best are
         # persisted, and a journal opened with ``resume=True`` continues
@@ -260,34 +257,13 @@ class SunstoneScheduler:
                 sparsity=self.options.sparsity)
         return self._bounds
 
-    def _get_engine(self) -> SearchEngine:
-        if self._engine is None:
-            self._engine = SearchEngine(
-                workers=self.options.workers,
-                cache=self.options.cache,
-                partial_reuse=self.options.partial_reuse,
-                sparsity=self.options.sparsity,
-                cache_size=self.options.cache_size,
-            )
-            self._owns_engine = True
-        return self._engine
-
     # ------------------------------------------------------------------
     # public API
     # ------------------------------------------------------------------
     def schedule(self) -> ScheduleResult:
         """Run the search and return the best mapping found."""
         start = time.perf_counter()
-        owned = self._engine is None
-        with engine_scope(self._engine,
-                          workers=self.options.workers,
-                          cache=self.options.cache,
-                          partial_reuse=self.options.partial_reuse,
-                          sparsity=self.options.sparsity,
-                          cache_size=self.options.cache_size) as engine:
-            self._engine = engine
-            self._owns_engine = owned
-            result = self._run_with_escalation()
+        result = self._run_with_escalation()
         result.stats.wall_time_s = time.perf_counter() - start
         return result
 
@@ -309,18 +285,18 @@ class SunstoneScheduler:
                             if result.found else None),
                 "evaluations": result.stats.evaluations,
             })
-            self._journal.save_cache_snapshot(self._get_engine().cache)
+            self._journal.save_cache_snapshot(self._engine.cache)
         return result
 
     def _restore_phase_result(self, entry: dict) -> ScheduleResult:
         stats = SchedulerStats()
-        stats.search = self._get_engine().stats
+        stats.search = self._engine.stats
         stats.evaluations = entry["evaluations"]
         doc = entry.get("mapping")
         if doc is None:
             return ScheduleResult(None, None, stats, self.options)
         mapping = mapping_from_dict(doc)
-        cost = self._get_engine().evaluate(mapping)
+        cost = self._engine.evaluate(mapping)
         bound_model = self._bound_model()
         if bound_model is not None:
             # The certificate is a pure function of the analytic model
@@ -370,7 +346,7 @@ class SunstoneScheduler:
     def _schedule_once(self, phase: str = "base") -> ScheduleResult:
         start = time.perf_counter()
         stats = SchedulerStats()
-        stats.search = self._get_engine().stats
+        stats.search = self._engine.stats
         orderings = enumerate_orderings(self.workload, stats=stats.trie)
 
         if self.options.direction == "bottom-up":
@@ -392,7 +368,7 @@ class SunstoneScheduler:
                 cost = best[1]
                 bnd.best_value = (cost.edp if self.options.objective == "edp"
                                   else cost.energy_pj)
-            eng_stats = self._get_engine().stats
+            eng_stats = self._engine.stats
             eng_stats.bound_regions_tested += bnd.regions_tested
             eng_stats.bound_regions_pruned += bnd.regions_pruned
             eng_stats.bound_candidates_skipped += bnd.candidates_skipped
@@ -490,7 +466,7 @@ class SunstoneScheduler:
                     bnd.regions_pruned += 1
                     bnd.candidates_skipped += 1
                     return False
-            result = self._get_engine().evaluate(candidate)
+            result = self._engine.evaluate(candidate)
             stats.evaluations += 1
             if result.valid and value_of(result) < best_value:
                 best_mapping = candidate
@@ -588,7 +564,7 @@ class SunstoneScheduler:
 
         # Every estimated partial is a complete (if possibly suboptimal)
         # mapping, so the best valid one seen anywhere is the answer.
-        engine = self._get_engine()
+        engine = self._engine
         best: tuple[float, Mapping, CostResult] | None = None
 
         # Crash recovery: pick the sweep up after the last journaled step.
@@ -730,7 +706,7 @@ class SunstoneScheduler:
                       stats.prune.bound.regions_pruned,
                       stats.prune.bound.candidates_skipped],
         })
-        self._journal.save_cache_snapshot(self._get_engine().cache)
+        self._journal.save_cache_snapshot(self._engine.cache)
 
     @staticmethod
     def _state_doc(state: _State) -> dict:

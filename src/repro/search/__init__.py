@@ -1,4 +1,4 @@
-"""Parallel, memoized schedule-search engine shared by all mappers."""
+"""Memoized, in-process schedule-search engine shared by all mappers."""
 
 from .cache import EvalCache
 from .checkpoint import (
@@ -9,7 +9,7 @@ from .checkpoint import (
     read_journal_entries,
     sweep_stale_temps,
 )
-from .engine import SearchEngine, engine_scope, resolve_engine
+from .engine import SearchEngine, resolve_engine
 from .faults import FaultPlan, InjectedFault, plan_from_env
 from .result import MappingOutcome
 from .fingerprint import (
@@ -31,7 +31,6 @@ __all__ = [
     "SearchStats",
     "architecture_fingerprint",
     "atomic_write_json",
-    "engine_scope",
     "flush_active_journals",
     "mapping_fingerprint",
     "plan_from_env",

@@ -1,34 +1,22 @@
 """Deterministic fault injection for the search engine (docs/SEARCH.md).
 
-Long-running sweeps must survive worker crashes, stuck chunks and
-transient evaluation exceptions without changing *what they compute*.
-The recovery paths in :class:`repro.search.engine.SearchEngine` are
-exercised by a :class:`FaultPlan` — a seeded, reproducible oracle that
-decides, per dispatch site, whether to force one of three fault kinds:
-
-``"crash"``
-    the worker process hard-exits (``os._exit``) mid-chunk, which
-    surfaces to the dispatcher as a ``BrokenProcessPool``;
-``"timeout"``
-    the chunk is declared lost at the dispatch layer without waiting —
-    a deterministic stand-in for a wall-clock ``chunk_timeout`` expiry
-    (real timeouts are also supported, but injecting them this way
-    keeps the regression suite free of timing flakiness);
-``"exception"``
-    an :class:`InjectedFault` is raised inside the evaluation, either
-    in the worker (pooled chunks) or in-process (``evaluate()``).
+Long-running sweeps must survive transient evaluation exceptions
+without changing *what they compute*.  The in-process retry of
+:class:`repro.search.engine.SearchEngine` is exercised by a
+:class:`FaultPlan` — a seeded, reproducible oracle that decides, per
+evaluation site, whether to raise an :class:`InjectedFault` inside a
+scalar cost-model call.
 
 Sites are numbered deterministically: the engine keeps one monotonic
-counter for pooled chunk dispatches and one for in-process evaluation
-calls, and a re-submitted chunk keeps its original site with a bumped
-``attempt`` — so a plan that fires on ``(site, attempt=0)`` only
-injects once unless told otherwise via ``attempts``.
+counter of scalar evaluation calls, and a retried call keeps its site
+with a bumped ``attempt`` — so a plan that fires on ``(site,
+attempt=0)`` only injects once unless told otherwise via ``attempts``.
 
 Two environment hooks let CI drive faults through the unmodified CLI:
 
-* ``REPRO_FAULTS="crash@2,timeout@5,exception@0"`` — chunk-site faults,
+* ``REPRO_FAULTS="evalexc@0,evalexc@5"`` — evaluation-site faults,
   picked up by every :class:`SearchEngine` built without an explicit
-  ``fault_plan`` (``evalexc@N`` targets in-process evaluation sites);
+  ``fault_plan``;
 * ``REPRO_CHECKPOINT_KILL_AFTER=N`` — the checkpoint journal
   hard-exits the process (code :data:`KILL_EXIT_CODE`) after its
   ``N``-th append, a deterministic "OOM-killed mid-search" for the
@@ -43,144 +31,89 @@ import random
 
 KILL_EXIT_CODE = 86
 
-FAULT_KINDS = ("crash", "timeout", "exception")
-
 
 class InjectedFault(RuntimeError):
     """Raised by an injected evaluation fault; never by real model code."""
 
 
-def _site_rng(seed: int, kind: str, site: int) -> random.Random:
-    """A stable per-(seed, kind, site) RNG, independent of query order
-    and of ``PYTHONHASHSEED`` (so plans replay across processes)."""
-    token = f"{seed}:{kind}:{site}".encode()
+def _site_rng(seed: int, site: int) -> random.Random:
+    """A stable per-(seed, site) RNG, independent of query order and of
+    ``PYTHONHASHSEED`` (so plans replay across processes)."""
+    token = f"{seed}:evalexc:{site}".encode()
     digest = hashlib.sha256(token).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
 class FaultPlan:
-    """Seeded, deterministic schedule of injected faults.
+    """Seeded, deterministic schedule of injected evaluation faults.
 
     Two addressing modes compose:
 
-    * **explicit sites** — ``chunk_faults={2: "crash"}`` /
-      ``eval_faults={0}`` pin faults to exact dispatch sites;
-    * **seeded rates** — ``crash_rate``/``timeout_rate``/
-      ``exception_rate`` draw an independent, order-insensitive
-      Bernoulli per site from ``seed``.
+    * **explicit sites** — ``eval_faults={0}`` pins faults to exact
+      evaluation sites;
+    * **a seeded rate** — ``exception_rate`` draws an independent,
+      order-insensitive Bernoulli per site from ``seed``.
 
     A site only faults on attempts ``< attempts`` (default 1), so every
-    recovery retry succeeds unless the plan is explicitly configured to
-    keep failing (``attempts`` large) — that is how the
-    degrade-to-serial path is tested.  ``max_faults`` caps the total
-    number of injections across the plan's lifetime.
+    retry succeeds unless the plan is explicitly configured to keep
+    failing (``attempts`` large).  ``max_faults`` caps the total number
+    of injections across the plan's lifetime.
     """
 
     def __init__(
         self,
-        chunk_faults: dict[int, str] | None = None,
         eval_faults: set[int] | frozenset[int] | None = None,
         seed: int = 0,
-        crash_rate: float = 0.0,
-        timeout_rate: float = 0.0,
         exception_rate: float = 0.0,
         attempts: int = 1,
         max_faults: int | None = None,
     ) -> None:
-        for name, rate in (("crash_rate", crash_rate),
-                           ("timeout_rate", timeout_rate),
-                           ("exception_rate", exception_rate)):
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1]")
+        if not 0.0 <= exception_rate <= 1.0:
+            raise ValueError("exception_rate must be in [0, 1]")
         if attempts < 1:
             raise ValueError("attempts must be >= 1")
-        for kind in (chunk_faults or {}).values():
-            if kind not in FAULT_KINDS:
-                raise ValueError(f"unknown fault kind {kind!r}; "
-                                 f"choose from {FAULT_KINDS}")
-        self.chunk_faults = dict(chunk_faults or {})
         self.eval_faults = frozenset(eval_faults or ())
         self.seed = seed
-        self.rates = (("crash", crash_rate), ("timeout", timeout_rate),
-                      ("exception", exception_rate))
+        self.exception_rate = exception_rate
         self.attempts = attempts
         self.max_faults = max_faults
-        # (kind, site, attempt) log of every injection actually fired.
-        self.fired: list[tuple[str, int, int]] = []
-
-    def _budget_left(self) -> bool:
-        return self.max_faults is None or len(self.fired) < self.max_faults
-
-    def chunk_fault(self, site: int, attempt: int) -> str | None:
-        """Fault kind to inject for pooled chunk ``site``, or ``None``."""
-        if attempt >= self.attempts or not self._budget_left():
-            return None
-        kind = self.chunk_faults.get(site)
-        if kind is None:
-            for candidate, rate in self.rates:
-                if rate and _site_rng(self.seed, candidate,
-                                      site).random() < rate:
-                    kind = candidate
-                    break
-        if kind is not None:
-            self.fired.append((kind, site, attempt))
-        return kind
+        # (site, attempt) log of every injection actually fired.
+        self.fired: list[tuple[int, int]] = []
 
     def check_eval(self, site: int, attempt: int) -> None:
-        """Raise :class:`InjectedFault` if in-process evaluation ``site``
-        should fail on this ``attempt``."""
-        if attempt >= self.attempts or not self._budget_left():
+        """Raise :class:`InjectedFault` if evaluation ``site`` should
+        fail on this ``attempt``."""
+        if attempt >= self.attempts:
+            return
+        if self.max_faults is not None and len(self.fired) >= self.max_faults:
             return
         fire = site in self.eval_faults
-        if not fire:
-            rate = dict(self.rates)["exception"]
-            fire = bool(rate) and _site_rng(
-                self.seed, "evalexc", site).random() < rate
+        if not fire and self.exception_rate:
+            fire = _site_rng(self.seed, site).random() < self.exception_rate
         if fire:
-            self.fired.append(("evalexc", site, attempt))
+            self.fired.append((site, attempt))
             raise InjectedFault(f"injected evaluation fault at site {site}")
 
 
-def trip_chunk_fault(kind: str | None) -> None:
-    """Executed inside the worker for a chunk the plan marked faulty.
-
-    ``crash`` hard-exits the worker so the parent observes a genuine
-    ``BrokenProcessPool``; ``exception`` raises :class:`InjectedFault`
-    through the future.  ``timeout`` is handled dispatch-side and never
-    reaches the worker.
-    """
-    if kind == "crash":
-        os._exit(1)
-    if kind == "exception":
-        raise InjectedFault("injected worker fault")
-
-
 def plan_from_env(env: dict[str, str] | None = None) -> FaultPlan | None:
-    """Build a plan from ``REPRO_FAULTS`` (``kind@site`` comma list),
-    or ``None`` when the variable is unset/empty.  Lets CI inject
+    """Build a plan from ``REPRO_FAULTS`` (an ``evalexc@site`` comma
+    list), or ``None`` when the variable is unset/empty.  Lets CI inject
     faults through the unmodified CLI."""
     spec = (env if env is not None else os.environ).get("REPRO_FAULTS", "")
     spec = spec.strip()
     if not spec:
         return None
-    chunk_faults: dict[int, str] = {}
     eval_faults: set[int] = set()
     for token in spec.split(","):
         token = token.strip()
         if not token:
             continue
         kind, sep, site_text = token.partition("@")
-        if not sep:
-            raise ValueError(f"REPRO_FAULTS entry {token!r} is not "
-                             f"of the form kind@site")
-        site = int(site_text)
-        if kind == "evalexc":
-            eval_faults.add(site)
-        elif kind in FAULT_KINDS:
-            chunk_faults[site] = kind
-        else:
-            raise ValueError(f"unknown fault kind {kind!r} in REPRO_FAULTS")
-    return FaultPlan(chunk_faults=chunk_faults, eval_faults=eval_faults)
+        if not sep or kind != "evalexc":
+            raise ValueError(f"REPRO_FAULTS entry {token!r} is not of the "
+                             f"form evalexc@site")
+        eval_faults.add(int(site_text))
+    return FaultPlan(eval_faults=eval_faults)
 
 
 def checkpoint_kill_after(env: dict[str, str] | None = None) -> int | None:

@@ -7,64 +7,29 @@ from dataclasses import dataclass, field
 
 @dataclass
 class FaultStats:
-    """Fault-recovery accounting (docs/SEARCH.md, "Fault recovery").
+    """Fault-injection accounting (docs/SEARCH.md, "Fault recovery").
 
-    ``crashes_recovered`` counts ``BrokenProcessPool`` events survived;
-    ``chunk_timeouts`` counts chunks declared lost on a per-chunk
-    timeout (wall-clock or injected); ``retries`` counts chunk
-    re-submissions and in-process evaluation retries; ``pool_rebuilds``
-    counts worker pools torn down and rebuilt mid-batch; ``injected``
-    counts faults fired by a :class:`~repro.search.faults.FaultPlan`;
-    ``degraded_chunks`` counts chunks evaluated in-process after the
-    engine gave up on the pool (results stay bit-identical); and
-    ``degraded_serial`` is set when the engine permanently fell back to
-    in-process evaluation (pool construction failed, or rebuilds were
-    exhausted) — it distinguishes a requested-parallel-but-serial run
-    from a genuine ``workers=1`` run in ``--stats-json`` output.
+    ``injected`` counts faults fired by a
+    :class:`~repro.search.faults.FaultPlan`; ``retries`` counts the
+    in-process evaluation retries that recovered from them.
     """
 
-    crashes_recovered: int = 0
-    chunk_timeouts: int = 0
-    retries: int = 0
-    pool_rebuilds: int = 0
     injected: int = 0
-    degraded_chunks: int = 0
-    degraded_serial: bool = False
+    retries: int = 0
 
     def any(self) -> bool:
         """True when any fault-path counter moved."""
-        return bool(self.crashes_recovered or self.chunk_timeouts
-                    or self.retries or self.pool_rebuilds or self.injected
-                    or self.degraded_chunks or self.degraded_serial)
+        return bool(self.injected or self.retries)
 
     def merge(self, other: "FaultStats") -> None:
-        self.crashes_recovered += other.crashes_recovered
-        self.chunk_timeouts += other.chunk_timeouts
-        self.retries += other.retries
-        self.pool_rebuilds += other.pool_rebuilds
         self.injected += other.injected
-        self.degraded_chunks += other.degraded_chunks
-        self.degraded_serial = self.degraded_serial or other.degraded_serial
+        self.retries += other.retries
 
     def to_dict(self) -> dict:
-        return {
-            "crashes_recovered": self.crashes_recovered,
-            "chunk_timeouts": self.chunk_timeouts,
-            "retries": self.retries,
-            "pool_rebuilds": self.pool_rebuilds,
-            "injected": self.injected,
-            "degraded_chunks": self.degraded_chunks,
-            "degraded_serial": self.degraded_serial,
-        }
+        return {"injected": self.injected, "retries": self.retries}
 
     def summary(self) -> str:
-        return (
-            f"crashes recovered {self.crashes_recovered}, "
-            f"chunk timeouts {self.chunk_timeouts}, "
-            f"retries {self.retries}, pool rebuilds {self.pool_rebuilds}, "
-            f"degraded chunks {self.degraded_chunks}"
-            + (" [degraded to serial]" if self.degraded_serial else "")
-        )
+        return f"injected {self.injected}, retries {self.retries}"
 
 
 @dataclass
@@ -80,14 +45,12 @@ class SearchStats:
     The per-stage profile (``--profile`` on the CLI, docs/PERF.md):
     ``stage_time_s`` buckets wall time by pipeline stage — ``"model"``
     (cost-model execution, scalar or vectorised), ``"generation"``
-    (candidate enumeration + materialisation), ``"cache"`` (fingerprint
-    + memo lookup/merge) and ``"pool"`` (process-pool dispatch including
-    pickling).  ``batched_evaluations`` counts how many of
-    ``evaluations`` ran through the vectorised model
+    (candidate enumeration + materialisation) and ``"cache"``
+    (fingerprint + memo lookup/merge).  ``batched_evaluations`` counts
+    how many of ``evaluations`` ran through the vectorised model
     (:mod:`repro.model.batch`): exactly the rows the array path staged.
     """
 
-    workers: int = 1
     evaluations: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
@@ -128,7 +91,6 @@ class SearchStats:
 
     def merge(self, other: "SearchStats") -> None:
         """Fold another record (e.g. a worker process's) into this one."""
-        self.workers = max(self.workers, other.workers)
         self.evaluations += other.evaluations
         self.cache_hits += other.cache_hits
         self.cache_misses += other.cache_misses
@@ -149,7 +111,6 @@ class SearchStats:
     def to_dict(self) -> dict:
         """JSON-serialisable snapshot (used by the CLI's ``--stats-json``)."""
         return {
-            "workers": self.workers,
             "evaluations": self.evaluations,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
@@ -174,13 +135,13 @@ class SearchStats:
         return (
             f"evaluations {self.evaluations}, cache hits {self.cache_hits} "
             f"({self.hit_rate:.0%} of {self.requests} requests), "
-            f"prunes {self.prunes}, workers {self.workers}, "
+            f"prunes {self.prunes}, "
             f"wall {self.wall_time_s:.2f}s"
         )
 
     def profile_summary(self) -> str:
         """Multi-line per-stage breakdown for the CLI's ``--profile``."""
-        stages = ("model", "generation", "cache", "pool")
+        stages = ("model", "generation", "cache")
         known = {s: self.stage_time_s.get(s, 0.0) for s in stages}
         extra = {s: t for s, t in self.stage_time_s.items()
                  if s not in known}

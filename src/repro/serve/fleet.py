@@ -6,15 +6,16 @@ returns its mergeable part, ``stats()`` snapshots health counters,
 ``close()`` releases resources.  Two implementations exist:
 
 * :class:`WorkerFleet` (here) — the local ``ProcessPoolExecutor`` pool
-  with the same recovery contract as the search engine's
-  ``_run_pooled`` (docs/SEARCH.md, "Fault recovery"): a worker death
+  (docs/SERVE_API.md, "Decomposition and fan-out"): a worker death
   surfaces as ``BrokenExecutor`` on the awaiting task, the pool is
   rebuilt exactly once per break (a generation counter keeps concurrent
   awaiters from stampeding), and the lost task is re-submitted.
   Because :func:`repro.serve.tasks.run_task` is a pure function of its
   payload, the retry is bit-identical to the run that died.  After the
   attempt budget the task degrades to an in-process run so the job
-  still completes (counted, and reported via ``/stats``).
+  still completes (counted, and reported via ``/stats``).  Pool
+  workers run :func:`repro.procpool.watch_parent`, so they exit once
+  the daemon (or worker agent) that owns them is gone.
 * :class:`~repro.serve.remote.RemoteFleet` — lease-based fan-out to
   ``repro worker`` processes on other hosts (docs/SERVE_API.md,
   "Remote worker fleets").
@@ -30,6 +31,7 @@ import asyncio
 import threading
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
+from ..procpool import watch_parent
 from .tasks import run_task
 
 
@@ -82,7 +84,7 @@ class WorkerFleet(FleetBackend):
         self._generation = 0
         self._closed = False
         self._pool: ProcessPoolExecutor | None = (
-            ProcessPoolExecutor(max_workers=workers) if workers else None)
+            self._new_pool() if workers else None)
         self.tasks_run = 0
         self.crashes_recovered = 0
         self.retries = 0
@@ -90,6 +92,10 @@ class WorkerFleet(FleetBackend):
         self.degraded_tasks = 0
 
     # ------------------------------------------------------------------
+    def _new_pool(self) -> ProcessPoolExecutor:
+        return ProcessPoolExecutor(max_workers=self.workers,
+                                   initializer=watch_parent)
+
     def _count(self, counter: str, delta: int = 1) -> None:
         with self._lock:
             setattr(self, counter, getattr(self, counter) + delta)
@@ -104,7 +110,7 @@ class WorkerFleet(FleetBackend):
             if self._generation != seen_generation:
                 return
             old = self._pool
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
+            self._pool = self._new_pool()
             self._generation += 1
             self.pool_rebuilds += 1
         if old is not None:

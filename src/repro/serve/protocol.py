@@ -380,9 +380,9 @@ def outcome_sort_key(doc: dict, objective: str) -> tuple:
 def merge_stats(dicts: Sequence[dict | None]) -> dict:
     """Fold worker ``SearchStats.to_dict()`` records into one.
 
-    Counters sum, ``workers`` takes the max, booleans OR, nested dicts
-    recurse, and the derived ratios (``requests``/``hit_rate``/...) are
-    recomputed from the summed counters — the dict twin of
+    Counters sum, booleans OR, nested dicts recurse, and the derived
+    ratios (``requests``/``hit_rate``/...) are recomputed from the
+    summed counters — the dict twin of
     :meth:`repro.search.SearchStats.merge`.
     """
     merged: dict = {}
@@ -401,10 +401,7 @@ def _merge_into(target: dict, other: dict) -> None:
         elif isinstance(value, bool):
             target[key] = bool(target.get(key)) or value
         elif isinstance(value, (int, float)):
-            if key == "workers":
-                target[key] = max(target.get(key, 0), value)
-            else:
-                target[key] = target.get(key, 0) + value
+            target[key] = target.get(key, 0) + value
         else:
             target.setdefault(key, value)
 

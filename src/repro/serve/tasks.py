@@ -4,7 +4,7 @@
 inline for ``--workers 0``/fallback).  It reconstructs the search from
 a self-contained task document and runs it **exactly as the cold CLI
 would** — same :class:`~repro.core.SchedulerOptions`, same engine
-construction as ``SunstoneScheduler._get_engine`` — with one
+construction as :class:`~repro.core.SunstoneScheduler` — with one
 difference: the evaluation cache starts from the daemon's seed
 (:class:`~repro.serve.cache.SeedCache`).  The seed is a pure
 accelerator (fingerprint-keyed exact results), so the returned mapping,
@@ -51,15 +51,14 @@ def _honour_kill_hook(job_id: str, task: dict, attempt: int) -> None:
 def _seeded_engine(task: dict, options: SchedulerOptions,
                    seed: list[tuple[Any, Any]]) -> tuple[SearchEngine,
                                                          SeedCache]:
-    """The engine ``SunstoneScheduler._get_engine`` would build, with
-    the result cache pre-populated from the daemon's shared cache."""
+    """The engine ``SunstoneScheduler`` would build from ``options``,
+    with the result cache pre-populated from the daemon's shared
+    cache."""
     cache_size = options.cache_size
     cache = SeedCache(seed, max_entries=(200_000 if cache_size is None
                                          else cache_size))
-    engine = SearchEngine(workers=1, cache=cache,
-                          partial_reuse=options.partial_reuse,
-                          sparsity=options.sparsity,
-                          cache_size=cache_size)
+    engine = SearchEngine(cache=cache, partial_reuse=options.partial_reuse,
+                          sparsity=options.sparsity, cache_size=cache_size)
     return engine, cache
 
 
@@ -95,8 +94,7 @@ def _run_schedule(task: dict, seed: list) -> tuple[dict, SearchEngine,
     arch = architecture_from_dict(task["arch"])
     options = _scheduler_options(task)
     engine, cache = _seeded_engine(task, options, seed)
-    with engine:
-        result = schedule(workload, arch, options, engine=engine)
+    result = schedule(workload, arch, options, engine=engine)
     doc = _outcome_doc(result)
     if result.found:
         doc["cost"] = _cost_dict(result.cost)
@@ -117,11 +115,7 @@ def _run_mapper(task: dict, seed: list) -> tuple[dict, SearchEngine | None,
         engine, cache = _seeded_engine(task, options, seed)
     runner = compare_runners(workload, arch, options,
                              engine=engine)[task["name"]]
-    if engine is not None:
-        with engine:
-            result = runner()
-    else:
-        result = runner()
+    result = runner()
     return mapper_row(task["name"], result), engine, cache
 
 

@@ -160,14 +160,14 @@ def test_evaluate_cohort_matches_evaluate_many():
         pytest.skip("needs the vectorized decode (numpy)")
     cohort = next(iter(cohorts))
     mappings = [cohort.materialize(i) for i in range(len(cohort))]
-    with SearchEngine(workers=1) as a, SearchEngine(workers=1) as b:
-        batch_costs = a.evaluate_cohort(cohort)
-        scalar_costs = b.evaluate_many(mappings)
-        assert ([_cost_tuple(c) for c in batch_costs]
-                == [_cost_tuple(c) for c in scalar_costs])
-        assert a.stats.evaluations == b.stats.evaluations
-        assert a.stats.cache_hits == b.stats.cache_hits
-        assert a.stats.cache_misses == b.stats.cache_misses
+    a, b = SearchEngine(), SearchEngine()
+    batch_costs = a.evaluate_cohort(cohort)
+    scalar_costs = b.evaluate_many(mappings)
+    assert ([_cost_tuple(c) for c in batch_costs]
+            == [_cost_tuple(c) for c in scalar_costs])
+    assert a.stats.evaluations == b.stats.evaluations
+    assert a.stats.cache_hits == b.stats.cache_hits
+    assert a.stats.cache_misses == b.stats.cache_misses
 
 
 def test_evaluate_cohort_scalar_fallback_matches():
@@ -179,10 +179,10 @@ def test_evaluate_cohort_scalar_fallback_matches():
         pytest.skip("needs the vectorized decode (numpy)")
     cohort = next(iter(full_space_cohorts(workload, arch, 2)))
     mappings = [cohort.materialize(i) for i in range(len(cohort))]
-    with SearchEngine(workers=1) as vectorised:
-        batch_costs = vectorised.evaluate_cohort(cohort)
-    with harness.scalar_paths(), SearchEngine(workers=1) as a, \
-            SearchEngine(workers=1) as b:
+    vectorised = SearchEngine()
+    batch_costs = vectorised.evaluate_cohort(cohort)
+    a, b = SearchEngine(), SearchEngine()
+    with harness.scalar_paths():
         cohort_costs = a.evaluate_cohort(cohort)
         scalar_costs = b.evaluate_many(mappings)
     assert ([_cost_tuple(c) for c in cohort_costs]

@@ -1,23 +1,21 @@
-"""Fault-tolerant pool execution: deterministic injection + recovery.
+"""Deterministic fault injection and in-process recovery.
 
-Pins the crash-safety guarantee of docs/SEARCH.md: under injected worker
-crashes, chunk timeouts and evaluation exceptions, every search returns
-the *bit-identical* best mapping and cost of a fault-free run, and every
-recovery event is counted in ``SearchStats.faults``.
+Pins the crash-safety guarantee of docs/SEARCH.md: under injected
+evaluation exceptions, every search returns the *bit-identical* best
+mapping and cost of a fault-free run, and every injected fault and
+retry is counted in ``SearchStats.faults``.
 
-The process pool is the evaluation path of a numpy-less install; the
-``scalar`` fixture puts these tests on that path (numpy stays installed,
-only the engine's availability flag is cleared), so every run drives a
-real 2-worker pool.
+Injected faults fire in scalar cost-model calls; the ``scalar`` fixture
+puts these tests on the no-numpy paths (numpy stays installed, only the
+engine's availability flag is cleared), so every evaluation is one.
 """
 
 import pytest
 
 from repro.arch import tiny
 from repro.core import SchedulerOptions, schedule
-from repro.mapping.serialize import mapping_to_dict
 from repro.search import FaultPlan, InjectedFault, SearchEngine, plan_from_env
-from repro.search.faults import checkpoint_kill_after, trip_chunk_fault
+from repro.search.faults import checkpoint_kill_after
 from repro.workloads import conv1d
 from tests.harness import scalar_paths
 
@@ -27,8 +25,8 @@ ARCH = tiny(l1_words=64, l2_words=512, pes=4)
 
 @pytest.fixture(autouse=True)
 def scalar():
-    """Every test here runs on the no-numpy paths, where ``workers > 1``
-    reaches the process pool."""
+    """Every test here runs on the no-numpy paths, where every
+    evaluation is a scalar (fault-injectable) call."""
     with scalar_paths():
         yield
 
@@ -38,26 +36,23 @@ def _cost_tuple(result):
 
 
 def _oracle():
-    """Fault-free serial reference (the same scalar pipeline the pooled
-    runs use, minus the pool)."""
+    """Fault-free reference on the same scalar pipeline."""
     return schedule(WORKLOAD, ARCH, SchedulerOptions())
 
 
-def _pooled(plan, **engine_kwargs):
-    """One search through a genuine 2-worker pool with ``plan`` armed.
-
-    ``clamp_workers=False`` keeps the pool real even on 1-core CI
-    runners — the recovery paths under test need actual worker
-    processes to crash.
-    """
-    engine = SearchEngine(workers=2, fault_plan=plan,
-                          clamp_workers=False, **engine_kwargs)
-    with engine:
-        result = schedule(WORKLOAD, ARCH, SchedulerOptions(workers=2),
-                          engine=engine)
-    # The sweep's cohorts really went over the pool.
-    assert "pool" in engine.stats.stage_time_s
+def _faulted(plan):
+    """One search with ``plan`` armed; returns (result, fault stats)."""
+    engine = SearchEngine(fault_plan=plan)
+    result = schedule(WORKLOAD, ARCH, SchedulerOptions(), engine=engine)
     return result, engine.stats.faults
+
+
+def _fires(plan, site, attempt):
+    try:
+        plan.check_eval(site, attempt)
+    except InjectedFault:
+        return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -67,22 +62,22 @@ def _pooled(plan, **engine_kwargs):
 
 class TestFaultPlan:
     def test_explicit_sites_fire_once(self):
-        plan = FaultPlan(chunk_faults={2: "crash"})
-        assert plan.chunk_fault(0, 0) is None
-        assert plan.chunk_fault(2, 0) == "crash"
+        plan = FaultPlan(eval_faults={2})
+        assert not _fires(plan, 0, 0)
+        assert _fires(plan, 2, 0)
         # The retry of the same site succeeds (attempt 1 >= attempts=1).
-        assert plan.chunk_fault(2, 1) is None
-        assert plan.fired == [("crash", 2, 0)]
+        assert not _fires(plan, 2, 1)
+        assert plan.fired == [(2, 0)]
 
     def test_attempts_controls_repeat_failures(self):
-        plan = FaultPlan(chunk_faults={0: "timeout"}, attempts=3)
-        assert [plan.chunk_fault(0, a) for a in range(4)] == \
-            ["timeout", "timeout", "timeout", None]
+        plan = FaultPlan(eval_faults={0}, attempts=3)
+        assert [_fires(plan, 0, a) for a in range(4)] == \
+            [True, True, True, False]
 
     def test_max_faults_budget(self):
-        plan = FaultPlan(chunk_faults={0: "crash", 1: "crash"}, max_faults=1)
-        assert plan.chunk_fault(0, 0) == "crash"
-        assert plan.chunk_fault(1, 0) is None
+        plan = FaultPlan(eval_faults={0, 1}, max_faults=1)
+        assert _fires(plan, 0, 0)
+        assert not _fires(plan, 1, 0)
 
     def test_eval_faults_raise(self):
         plan = FaultPlan(eval_faults={3})
@@ -94,33 +89,25 @@ class TestFaultPlan:
     def test_seeded_rates_are_order_insensitive(self):
         decisions = {}
         for order in (range(50), reversed(range(50))):
-            plan = FaultPlan(seed=7, crash_rate=0.3)
-            decisions[str(order)] = [plan.chunk_fault(s, 0) for s in
-                                     sorted(order)]
+            plan = FaultPlan(seed=7, exception_rate=0.3)
+            fired = {site: _fires(plan, site, 0) for site in order}
+            decisions[str(order)] = [fired[s] for s in range(50)]
         first, second = decisions.values()
         assert first == second
-        assert any(k == "crash" for k in first)
-        assert any(k is None for k in first)
+        assert any(first)
+        assert not all(first)
 
     def test_rejects_bad_configuration(self):
         with pytest.raises(ValueError):
-            FaultPlan(crash_rate=1.5)
+            FaultPlan(exception_rate=1.5)
         with pytest.raises(ValueError):
             FaultPlan(attempts=0)
-        with pytest.raises(ValueError):
-            FaultPlan(chunk_faults={0: "segfault"})
-
-    def test_trip_exception_kind(self):
-        trip_chunk_fault(None)  # no-op
-        with pytest.raises(InjectedFault):
-            trip_chunk_fault("exception")
 
 
 class TestEnvHooks:
     def test_plan_from_env_parses_sites(self):
-        plan = plan_from_env({"REPRO_FAULTS": "crash@2, timeout@5,evalexc@0"})
-        assert plan.chunk_faults == {2: "crash", 5: "timeout"}
-        assert plan.eval_faults == frozenset({0})
+        plan = plan_from_env({"REPRO_FAULTS": "evalexc@2, evalexc@0"})
+        assert plan.eval_faults == frozenset({0, 2})
 
     def test_plan_from_env_unset_is_none(self):
         assert plan_from_env({}) is None
@@ -128,9 +115,14 @@ class TestEnvHooks:
 
     def test_plan_from_env_rejects_garbage(self):
         with pytest.raises(ValueError):
-            plan_from_env({"REPRO_FAULTS": "crash"})
+            plan_from_env({"REPRO_FAULTS": "evalexc"})
         with pytest.raises(ValueError):
             plan_from_env({"REPRO_FAULTS": "segfault@1"})
+        # The retired pool-site kinds are rejected with a pointer to the
+        # one kind that remains.
+        for kind in ("crash", "timeout", "exception"):
+            with pytest.raises(ValueError, match="evalexc"):
+                plan_from_env({"REPRO_FAULTS": f"{kind}@0"})
 
     def test_checkpoint_kill_after(self):
         assert checkpoint_kill_after({}) is None
@@ -141,64 +133,15 @@ class TestEnvHooks:
 
 
 # ---------------------------------------------------------------------------
-# Recovery paths: bit-identical results under injected faults
+# Recovery: bit-identical results under injected faults
 # ---------------------------------------------------------------------------
 
 
-def test_worker_crash_is_recovered_bit_identically():
-    oracle = _oracle()
-    result, faults = _pooled(FaultPlan(chunk_faults={0: "crash"}))
-    assert faults.injected == 1
-    assert faults.crashes_recovered == 1
-    assert faults.pool_rebuilds == 1
-    assert faults.retries >= 1
-    assert not faults.degraded_serial
-    assert mapping_to_dict(result.mapping) == mapping_to_dict(oracle.mapping)
-    assert _cost_tuple(result) == _cost_tuple(oracle)
-    assert result.stats.evaluations == oracle.stats.evaluations
-
-
-def test_chunk_timeout_is_recovered_bit_identically():
-    oracle = _oracle()
-    result, faults = _pooled(FaultPlan(chunk_faults={1: "timeout"}))
-    assert faults.injected == 1
-    assert faults.chunk_timeouts == 1
-    assert faults.pool_rebuilds == 1
-    assert mapping_to_dict(result.mapping) == mapping_to_dict(oracle.mapping)
-    assert _cost_tuple(result) == _cost_tuple(oracle)
-
-
-def test_worker_exception_is_recovered_bit_identically():
-    oracle = _oracle()
-    result, faults = _pooled(FaultPlan(chunk_faults={0: "exception"}))
-    assert faults.injected == 1
-    assert faults.retries >= 1
-    # An exception does not break the pool: no rebuild needed.
-    assert faults.pool_rebuilds == 0
-    assert mapping_to_dict(result.mapping) == mapping_to_dict(oracle.mapping)
-    assert _cost_tuple(result) == _cost_tuple(oracle)
-
-
-def test_repeated_crashes_degrade_to_serial_bit_identically():
-    """Exhausting the rebuild budget falls back to in-process evaluation
-    (permanently), still converging to the fault-free answer."""
-    oracle = _oracle()
-    plan = FaultPlan(chunk_faults={0: "crash"}, attempts=5)
-    result, faults = _pooled(plan)
-    assert faults.degraded_serial
-    assert faults.degraded_chunks >= 1
-    assert faults.pool_rebuilds == 1  # budget is max_pool_rebuilds=1
-    assert mapping_to_dict(result.mapping) == mapping_to_dict(oracle.mapping)
-    assert _cost_tuple(result) == _cost_tuple(oracle)
-
-
 def test_inprocess_eval_fault_is_retried():
-    plan = FaultPlan(eval_faults={0})
-    engine = SearchEngine(workers=1, fault_plan=plan)
-    result = schedule(WORKLOAD, ARCH, SchedulerOptions(), engine=engine)
+    result, faults = _faulted(FaultPlan(eval_faults={0}))
     oracle = _oracle()
-    assert engine.stats.faults.injected == 1
-    assert engine.stats.faults.retries == 1
+    assert faults.injected == 1
+    assert faults.retries == 1
     assert _cost_tuple(result) == _cost_tuple(oracle)
 
 
@@ -208,20 +151,17 @@ def test_inprocess_eval_fault_exhausts_retries():
     from repro.baselines.random_search import sample_random_mapping
 
     plan = FaultPlan(eval_faults={0}, attempts=99)
-    engine = SearchEngine(workers=1, cache=False, fault_plan=plan)
+    engine = SearchEngine(cache=False, fault_plan=plan)
     mapping = sample_random_mapping(WORKLOAD, ARCH, random.Random(0))
     with pytest.raises(InjectedFault):
         engine.evaluate(mapping)
 
 
 def test_fault_stats_surface_in_profile_and_json():
-    result, faults = _pooled(FaultPlan(chunk_faults={0: "crash"}))
+    result, faults = _faulted(FaultPlan(eval_faults={0}))
     stats = result.stats.search
-    doc = stats.to_dict()
-    assert doc["faults"]["crashes_recovered"] == 1
-    assert doc["faults"]["pool_rebuilds"] == 1
-    assert "faults:" in stats.profile_summary()
-    assert "crashes recovered 1" in stats.faults.summary()
+    assert stats.to_dict()["faults"] == {"injected": 1, "retries": 1}
+    assert "faults: injected 1, retries 1" in stats.profile_summary()
 
 
 def test_fault_free_run_reports_no_faults():

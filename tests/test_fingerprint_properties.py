@@ -128,7 +128,7 @@ def test_fingerprint_is_deterministic(problem):
 @settings(**_SETTINGS)
 def test_engine_fingerprint_matches_free_function(problem):
     mapping = _build(problem)
-    engine = SearchEngine(workers=1, cache=True, partial_reuse=True)
+    engine = SearchEngine(cache=True, partial_reuse=True)
     assert engine.fingerprint(mapping) == \
         mapping_fingerprint(mapping, partial_reuse=True)
 

@@ -231,15 +231,14 @@ def test_exhaustive_shards_union_recovers_the_best():
 def test_gamma_decode_matches_oracle():
     workload = mttkrp(16, 8, 8, 16)
     arch = conventional()
-    with SearchEngine(workers=1) as engine:
-        search = _GammaSearch(workload, arch, GammaConfig(seed=3),
-                              True, engine)
-        for _ in range(50):
-            genome = search.random_genome()
-            live = search.decode(genome)
-            oracle = oracle_gamma_decode(workload, arch, search.primes,
-                                         genome.placements, genome.orders)
-            assert mapping_fingerprint(live) == mapping_fingerprint(oracle)
+    search = _GammaSearch(workload, arch, GammaConfig(seed=3), True,
+                          SearchEngine())
+    for _ in range(50):
+        genome = search.random_genome()
+        live = search.decode(genome)
+        oracle = oracle_gamma_decode(workload, arch, search.primes,
+                                     genome.placements, genome.orders)
+        assert mapping_fingerprint(live) == mapping_fingerprint(oracle)
 
 
 # ---------------------------------------------------------------------------

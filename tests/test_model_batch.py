@@ -148,7 +148,7 @@ def test_violation_messages_match_mapping_validate():
 
 
 # ---------------------------------------------------------------------------
-# engine routing determinism (workers x cache x numpy)
+# engine routing determinism (cache x numpy)
 # ---------------------------------------------------------------------------
 
 
@@ -157,16 +157,14 @@ def test_scheduler_equivalence_across_batch_configs(sparsity):
     workload, arch = _CASES[0]
     with scalar_paths():
         oracle = schedule(workload, arch,
-                          SchedulerOptions(workers=1, cache=False,
-                                           sparsity=sparsity))
+                          SchedulerOptions(cache=False, sparsity=sparsity))
     assert oracle.found
     oracle_map = mapping_to_dict(oracle.mapping)
     oracle_cost = (oracle.cost.energy_pj, oracle.cost.cycles)
     configs = [
-        dict(workers=1, cache=True),
-        dict(workers=1, cache=False),
-        dict(workers=2, cache=True),
-        dict(workers=1, cache=True, cache_size=64),
+        dict(cache=True),
+        dict(cache=False),
+        dict(cache=True, cache_size=64),
     ]
     for scalar in (False, True):
         for config in configs:
@@ -187,7 +185,7 @@ def test_scheduler_equivalence_across_batch_configs(sparsity):
 def test_engine_evaluate_many_routes_through_batch():
     workload, arch = _CASES[3]
     mappings = _random_mappings(workload, arch, random.Random(5), 12)
-    engine = SearchEngine(workers=1, cache=True)
+    engine = SearchEngine(cache=True)
     results = engine.evaluate_many(mappings)
     oracle = [evaluate(m) for m in mappings]
     for got, want in zip(results, oracle):
@@ -212,7 +210,7 @@ def test_mixed_mapping_list_runs_scalar():
     oracle = [evaluate(m) for m in mixed]
     for got, want in zip(evaluate_batch(mixed), oracle):
         _assert_same(want, got, "evaluate_batch")
-    engine = SearchEngine(workers=1, cache=True)
+    engine = SearchEngine(cache=True)
     engine.evaluate(mixed[0])  # row 0 becomes a cache hit
     for got, want in zip(engine.evaluate_many(mixed), oracle):
         _assert_same(want, got, "engine")
@@ -240,13 +238,13 @@ def test_vectorised_count_is_exactly_the_array_rows(rows, monkeypatch):
     workload, arch = _CASES[3]
     mappings = _random_mappings(workload, arch, random.Random(17), rows)
     sizes = _count_array_rows(monkeypatch)
-    many = SearchEngine(workers=1, cache=False)
+    many = SearchEngine(cache=False)
     many.evaluate_many(mappings)
     assert many.stats.evaluations == rows
     assert many.stats.batched_evaluations == sum(sizes)
     assert sum(sizes) == (rows if HAVE_NUMPY and rows >= MIN_BATCH else 0)
     del sizes[:]
-    cohort = SearchEngine(workers=1, cache=False)
+    cohort = SearchEngine(cache=False)
     cohort.evaluate_cohort(NestCohort.from_nests(
         workload, arch, [mapping_nests(m) for m in mappings]))
     assert cohort.stats.batched_evaluations == sum(sizes)
@@ -259,7 +257,7 @@ def test_no_numpy_fallback_is_bitwise_scalar():
     oracle = [evaluate(m) for m in mappings]
     with scalar_paths():
         fallback = evaluate_batch(mappings)
-        engine = SearchEngine(workers=1, cache=False)
+        engine = SearchEngine(cache=False)
         via_engine = engine.evaluate_many(mappings)
     for got, want in zip(fallback, oracle):
         _assert_same(want, got, "no-numpy")
@@ -276,19 +274,19 @@ def test_no_numpy_fallback_is_bitwise_scalar():
 def test_engine_cache_size_bounds_result_cache():
     workload, arch = _CASES[3]
     mappings = _random_mappings(workload, arch, random.Random(13), 24)
-    engine = SearchEngine(workers=1, cache=True, cache_size=4)
+    engine = SearchEngine(cache=True, cache_size=4)
     engine.evaluate_many(mappings)
     assert engine.cache.max_entries == 4
     assert len(engine.cache) <= 4
     assert engine.stats.cache_evictions > 0
-    unbounded = SearchEngine(workers=1, cache=True, cache_size=0)
+    unbounded = SearchEngine(cache=True, cache_size=0)
     assert unbounded.cache.max_entries is None
     with pytest.raises(ValueError):
         SearchEngine(cache_size=-1)
 
 
 def test_stats_profile_fields_merge_and_serialise():
-    engine = SearchEngine(workers=1)
+    engine = SearchEngine()
     workload, arch = _CASES[0]
     engine.evaluate_many(_random_mappings(workload, arch,
                                           random.Random(1), 6))

@@ -198,10 +198,10 @@ class TestProtocol:
 
     def test_merge_stats_recomputes_derived_ratios(self):
         merged = merge_stats([
-            {"evaluations": 6, "cache_hits": 2, "workers": 2,
+            {"evaluations": 6, "cache_hits": 2,
              "hit_rate": 0.25, "requests": 8,
              "faults": {"degraded_serial": False, "retries": 1}},
-            {"evaluations": 2, "cache_hits": 6, "workers": 1,
+            {"evaluations": 2, "cache_hits": 6,
              "hit_rate": 0.75, "requests": 8,
              "faults": {"degraded_serial": True, "retries": 2}},
         ])
@@ -209,7 +209,6 @@ class TestProtocol:
         assert merged["cache_hits"] == 8
         assert merged["requests"] == 16
         assert merged["hit_rate"] == 0.5
-        assert merged["workers"] == 2
         assert merged["faults"] == {"degraded_serial": True, "retries": 3}
 
     def test_outcome_sort_key_ranks_validity_then_value(self):
@@ -882,7 +881,8 @@ class TestGracefulSigterm:
 
     def test_graceful_exit_is_a_keyboard_interrupt(self):
         # The whole satellite leans on this: every existing interrupt
-        # path (pool drain, engine_scope) must catch SIGTERM unchanged.
+        # path (network --processes terminating its pool, journal
+        # flush) must catch SIGTERM unchanged.
         from repro.cli import GracefulExit
         assert issubclass(GracefulExit, KeyboardInterrupt)
 
