@@ -10,7 +10,9 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+from ..arch.spec import UNIFIED
 from ..mapping.mapping import Mapping
+from ..mapping.placement import placement_table
 from ..model.cost import CostResult, evaluate
 from ..workloads.expression import Workload
 
@@ -24,26 +26,23 @@ def _bar(fraction: float, width: int = BAR_WIDTH) -> str:
 
 
 def occupancy_chart(mapping: Mapping) -> str:
-    """Per-level buffer-fill gauges for every stored datatype."""
+    """Per-level buffer-fill gauges for every capacity slot in use."""
+    table = placement_table(mapping.workload, mapping.arch)
     lines = ["buffer occupancy (one instance per level):"]
     for index in reversed(range(mapping.arch.num_levels)):
-        level = mapping.arch.levels[index]
-        if level.capacity_words is None:
-            lines.append(f"  {level.name:<10} unbounded")
-            continue
-        usage = mapping.occupancy(index)
-        if level.is_unified:
-            used = sum(usage.values())
-            cap = level.capacity_for("*")
-            lines.append(
-                f"  {level.name:<10} [{_bar(used / cap)}] "
-                f"{used}/{cap} words"
-            )
-        else:
-            for role, used in sorted(usage.items()):
-                cap = level.capacity_for(role) or 1
+        name = mapping.arch.levels[index].name
+        usage = table.usage(index, mapping.cumulative_sizes(index))
+        for slot, used in sorted(zip(table.slots[index], usage),
+                                 key=lambda pair: pair[0].role):
+            cap = slot.capacity
+            if cap is None:
+                lines.append(f"  {name:<10} unbounded")
+            elif slot.role == UNIFIED:
                 lines.append(
-                    f"  {level.name:<10} {role:<7} [{_bar(used / cap)}] "
+                    f"  {name:<10} [{_bar(used / cap)}] {used}/{cap} words")
+            else:
+                lines.append(
+                    f"  {name:<10} {slot.role:<7} [{_bar(used / cap)}] "
                     f"{used}/{cap} words"
                 )
     return "\n".join(lines)

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 from ..arch.spec import Architecture
 from ..mapping.mapping import build_mapping
+from ..mapping.placement import placement_table
 from ..mapspace.factor import prime_factors
 from ..search import SearchEngine
 from ..sparse.spec import SparsitySpec
@@ -52,22 +53,16 @@ def _reuse_score(workload: Workload, dim: str) -> int:
 def _linear_capacity_shares(
     workload: Workload, arch: Architecture
 ) -> dict[int, dict[str, float]]:
-    """Per-level, per-tensor log-capacity budget (the linear relaxation)."""
+    """Per-level, per-tensor log-capacity budget (the linear relaxation):
+    each bounded slot's capacity split evenly over the tensors it holds."""
+    table = placement_table(workload, arch)
     shares: dict[int, dict[str, float]] = {}
-    for i, level in enumerate(arch.levels):
-        if level.capacity_words is None:
-            continue
-        stored = [t for t in workload.tensors if level.stores(t.role)]
-        if not stored:
-            continue
-        shares[i] = {}
-        for tensor in stored:
-            if level.is_unified:
-                cap = (level.capacity_for("*") or 1) / len(stored)
-            else:
-                same_role = [t for t in stored if t.role == tensor.role]
-                cap = (level.capacity_for(tensor.role) or 1) / len(same_role)
-            shares[i][tensor.name] = math.log(max(cap, 1.0))
+    for i, slots in enumerate(table.slots):
+        for slot in slots:
+            if slot.capacity is not None:
+                share = math.log(max(slot.capacity / len(slot.tensors), 1.0))
+                for t in slot.tensors:
+                    shares.setdefault(i, {})[workload.tensors[t].name] = share
     return shares
 
 

@@ -85,27 +85,15 @@ class _DMazeSearch(SunstoneScheduler):
         self.config = config
 
     def _utilization(self, level_index: int, sizes: dict[str, int]) -> float:
-        """Buffer fill fraction at a bounded level (1.0 when bypassing)."""
-        level = self.arch.levels[level_index]
-        if level.capacity_words is None:
+        """Buffer fill fraction at a level: the words held over the summed
+        capacity of the slots holding them, each slot counted once (1.0
+        at an unbounded level or one that stores nothing)."""
+        table = self._placement
+        slots = table.slots[level_index]
+        if not slots or slots[0].capacity is None:
             return 1.0
-        used = 0
-        cap = 0
-        if level.is_unified:
-            cap = level.capacity_for("*") or 0
-            used = sum(
-                t.footprint(sizes) for t in self.workload.tensors
-                if level.stores(t.role)
-            )
-        else:
-            for tensor in self.workload.tensors:
-                c = level.capacity_for(tensor.role)
-                if c:
-                    cap += c
-                    used += tensor.footprint(sizes)
-        if cap == 0:
-            return 1.0
-        return used / cap
+        used = sum(table.usage(level_index, sizes))
+        return used / sum(slot.capacity for slot in slots)
 
     def _threshold_for(self, level_index: int) -> float:
         # Innermost bounded level plays the L1 role; the next one the L2

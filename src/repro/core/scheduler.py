@@ -31,6 +31,7 @@ from typing import Iterator, Sequence
 
 from ..arch.spec import Architecture
 from ..mapping.mapping import Mapping, MappingError, build_mapping
+from ..mapping.placement import placement_table
 from ..mapspace.batch import NestCohort
 from ..mapspace.bounds import BoundModel, Region
 from ..mapspace.factor import prime_factors
@@ -55,7 +56,7 @@ from ..search import (
 from ..sparse.spec import SparsitySpec
 from ..workloads.expression import Workload
 from .order_trie import OrderingCandidate, TrieStats, enumerate_orderings
-from .tiling_tree import TilingStats, placement_fits
+from .tiling_tree import TilingStats
 from .unrolling import UnrollingStats, allowed_unroll_dims
 
 INTRA_LEVEL_ORDERS = (
@@ -230,6 +231,7 @@ class SunstoneScheduler:
         # candidate enumeration is memoised per scheduler instance.
         self._tiling_cache: dict = {}
         self._unroll_cache: dict = {}
+        self._placement = placement_table(workload, arch)
         # Evaluation engine: injected to share a result cache across
         # searches, or built from the options.
         self._engine = resolve_engine(
@@ -605,37 +607,39 @@ class SunstoneScheduler:
             for _, state in frontier:
                 children.extend(
                     self._children(state, level, orderings, stats, bottom_up))
+            # Final step only: these children feed nothing but the
+            # running best (the post-step frontier is never read again),
+            # so a child whose analytic floor strictly exceeds the
+            # incumbent provably cannot improve it — value >= floor >
+            # best-at-skip-time >= best at any later point of the scan —
+            # and is dropped before evaluation.  Mid-sweep filtering
+            # would alter the beam frontier and is therefore never done.
             bound_model = self._bound_model()
-            if (bound_model is not None and best is not None
-                    and ordinal == len(steps) - 1):
-                # Final step only: these children feed nothing but the
-                # running best (the post-step frontier is never read
-                # again), so a child whose analytic floor strictly
-                # exceeds the incumbent provably cannot improve it —
-                # value >= floor > best-at-skip-time >= best at any later
-                # point of the scan — and is dropped before evaluation.
-                # Mid-sweep filtering would alter the beam frontier and
-                # is therefore never done.
-                bnd = stats.prune.bound
-                kept: list[_State] = []
-                for child in children:
-                    temporal, spatial = self._completion_factors(child)
+            final_bound = (bound_model is not None and best is not None
+                           and ordinal == len(steps) - 1)
+            bnd = stats.prune.bound
+            kept: list[_State] = []
+            nests = []
+            for child in children:
+                # One completion per child serves its bound region and
+                # its nests.
+                temporal, spatial = self._completion_factors(child)
+                if final_bound:
                     region = Region(temporal, spatial, {}, num)
                     bnd.regions_tested += 1
                     if bound_model.region_bound(region) > best[0]:
                         bnd.regions_pruned += 1
                         bnd.candidates_skipped += 1
-                    else:
-                        kept.append(child)
-                children = kept
+                        continue
+                kept.append(child)
+                nests.append(self._completion_nests(child, temporal, spatial))
+            children = kept
             # Batch the whole level: the engine dedupes equal fingerprints
             # and vectorises the misses, returning results in candidate
             # order so ranking matches the serial path exactly.
             # Candidates stream as a nest cohort; a Mapping is built only
             # when a child improves the running best.
-            cohort = NestCohort.from_nests(
-                self.workload, self.arch,
-                [self._completion_nests(child) for child in children])
+            cohort = NestCohort.from_nests(self.workload, self.arch, nests)
             engine.stats.add_stage_time(
                 "generation", time.perf_counter() - level_start)
             costs = engine.evaluate_cohort(cohort)
@@ -818,20 +822,14 @@ class SunstoneScheduler:
     def _stored_reused(self, order: OrderingCandidate, level: int
                        ) -> frozenset[str]:
         """Reused tensors that the child level actually buffers."""
-        stored = frozenset(
-            t.name for t in self.workload.tensors
-            if self.arch.levels[level].stores(t.role)
-        )
-        return order.reused_tensors & stored
+        return order.reused_tensors & self._placement.stored[level]
 
     def _growth_dims(self, order: OrderingCandidate, level: int
                      ) -> tuple[str, ...]:
         reused = self._stored_reused(order, level)
         if not reused:
-            reused = order.partially_reused_tensors & frozenset(
-                t.name for t in self.workload.tensors
-                if self.arch.levels[level].stores(t.role)
-            )
+            reused = (order.partially_reused_tensors
+                      & self._placement.stored[level])
         if reused:
             dims: set[str] = set()
             for name in reused:
@@ -932,7 +930,7 @@ class SunstoneScheduler:
         sizes = {
             d: base.get(d, 1) * tiling.get(d, 1) for d in self.workload.dims
         }
-        if not placement_fits(self.workload, self.arch, level, sizes, unroll):
+        if not self._placement.fits(level, sizes, unroll):
             return None
         new_frontier = dict(state.frontier)
         for d, f in tiling.items():
@@ -1165,17 +1163,19 @@ class SunstoneScheduler:
                 top[dim] = top.get(dim, 1) * residual
         return temporal, spatial
 
-    def _completion_nests(self, state: _State) -> tuple[tuple, tuple]:
+    def _completion_nests(
+        self, state: _State, temporal: list[dict], spatial: list[dict],
+    ) -> tuple[tuple, tuple]:
         """The completed per-level nests of a partial schedule, without
         the ``Mapping``: ``(nests, spatials)`` where ``nests`` are
         temporal nest tuples (outermost first, trivial factors included;
         undecided levels in workload dim order) and ``spatials`` sorted
         spatial factor tuples — the exact ``LevelMapping`` contents
         ``build_mapping`` would produce for the completion, which
-        ``NestCohort.materialize`` rebuilds bit-for-bit.
+        ``NestCohort.materialize`` rebuilds bit-for-bit.  ``temporal``
+        and ``spatial`` are the state's :meth:`_completion_factors`.
         """
         num = self.arch.num_levels
-        temporal, spatial = self._completion_factors(state)
         dim_names = self.workload.dim_names
         nests = []
         spatials = []

@@ -27,6 +27,7 @@ from typing import Iterable, Mapping as TMapping, Sequence
 
 from ..arch.spec import Architecture
 from ..workloads.expression import Workload
+from .placement import placement_table
 
 
 class MappingError(ValueError):
@@ -159,17 +160,15 @@ class Mapping:
         Only tensors the level actually stores are counted (bypassed roles
         occupy no space).
         """
-        lvl = self.arch.levels[level]
+        table = placement_table(self.workload, self.arch)
+        sizes = self.cumulative_sizes(level)
+        tensors = self.workload.tensors
         usage: dict[str, int] = {}
-        for tensor in self.workload.tensors:
-            if not lvl.stores(tensor.role):
-                continue
-            usage[tensor.role] = usage.get(tensor.role, 0) \
-                + self.footprint(level, tensor.name)
+        for slot in table.slots[level]:
+            for i in slot.tensors:
+                role = tensors[i].role
+                usage[role] = usage.get(role, 0) + table.footprint(i, sizes)
         return usage
-
-    def spatial_usage(self, level: int) -> int:
-        return self.levels[level].spatial_size
 
     def used_lanes(self) -> int:
         """Total spatial parallelism exploited by this mapping."""
@@ -183,40 +182,12 @@ class Mapping:
     # ------------------------------------------------------------------
     def validate(self) -> list[str]:
         """Return a list of violation descriptions (empty = valid)."""
+        table = placement_table(self.workload, self.arch)
         problems: list[str] = []
-        for i, arch_level in enumerate(self.arch.levels):
-            lvl = self.levels[i]
-            if lvl.spatial_size > arch_level.fanout:
-                problems.append(
-                    f"level {arch_level.name}: spatial unrolling "
-                    f"{lvl.spatial_size} exceeds fanout {arch_level.fanout}"
-                )
-            unrolled = sum(1 for _, f in lvl.spatial if f > 1)
-            if unrolled > 2:
-                # A 2D mesh delivers distinct data along at most two axes.
-                problems.append(
-                    f"level {arch_level.name}: {unrolled} dimensions "
-                    f"unrolled across a 2D fanout"
-                )
-            if arch_level.is_unbounded:
-                continue
-            usage = self.occupancy(i)
-            if arch_level.is_unified:
-                total = sum(usage.values())
-                cap = arch_level.capacity_for("*")
-                if cap is not None and total > cap:
-                    problems.append(
-                        f"level {arch_level.name}: tile of {total} words "
-                        f"exceeds unified capacity {cap}"
-                    )
-            else:
-                for role, used in usage.items():
-                    cap = arch_level.capacity_for(role)
-                    if cap is not None and used > cap:
-                        problems.append(
-                            f"level {arch_level.name}: {role} tile of {used} "
-                            f"words exceeds capacity {cap}"
-                        )
+        for i, lvl in enumerate(self.levels):
+            problems.extend(table.problems(
+                i, lvl.spatial_size, len(lvl._nontrivial_spatial),
+                self.cumulative_sizes(i)))
         return problems
 
     @property

@@ -233,7 +233,7 @@ class BoundModel:
             for child, parent in tinfo.pairs:
                 sizes = self._sizes_at(region, child, sizes_cache)
                 sizes_key = tuple(sizes[d] for d in tinfo.rel_dims)
-                fp = info.footprint(tinfo, sizes, sizes_key)
+                fp = info.placement.footprint(tinfo.index, sizes, sizes_key)
                 vol = float(fp) if ts is None else fp * traffic_scale(ts, fp)
                 if not windowed:
                     t_rel = 1.0

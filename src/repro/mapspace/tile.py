@@ -29,6 +29,7 @@ from ..core.tiling_tree import (
     enumerate_all_tilings,
     enumerate_tilings,
 )
+from ..mapping.placement import PlacementTable, placement_table
 from ..workloads.expression import Workload
 from .spaces import LazySpace, Space
 
@@ -36,23 +37,22 @@ from .spaces import LazySpace, Space
 def cap_tilings_by_footprint(
     tilings: list[dict[str, int]],
     cap: int,
-    workload: Workload,
+    table: PlacementTable,
     base: Mapping[str, int],
     growth: Sequence[str],
 ) -> list[dict[str, int]]:
     """Keep at most ``cap`` tiles: the *corners* of the maximal frontier
     (per growth dimension, the fattest and leanest max-``d`` tiles) are
-    admitted first, then the largest footprints fill the budget.  The
-    corners preserve e.g. the P-heavy tile that best exploits
-    sliding-window overlap; the footprint fill keeps the most temporal
-    reuse."""
+    admitted first, then the largest footprints (summed over every
+    tensor of ``table``'s workload) fill the budget.  The corners
+    preserve e.g. the P-heavy tile that best exploits sliding-window
+    overlap; the footprint fill keeps the most temporal reuse."""
+    dims = table.workload.dims
+    indices = range(len(table.workload.tensors))
 
     def footprint(tiling: dict[str, int]) -> int:
-        sizes = {
-            d: base.get(d, 1) * tiling.get(d, 1)
-            for d in workload.dims
-        }
-        return sum(t.footprint(sizes) for t in workload.tensors)
+        sizes = {d: base.get(d, 1) * tiling.get(d, 1) for d in dims}
+        return sum(table.footprint(i, sizes) for i in indices)
 
     chosen: list[dict[str, int]] = []
     chosen_keys: set = set()
@@ -100,7 +100,8 @@ class TileSpace(LazySpace):
             )
             if cap is not None and len(tilings) > cap:
                 tilings = cap_tilings_by_footprint(
-                    tilings, cap, workload, base, self.growth)
+                    tilings, cap, placement_table(workload, arch), base,
+                    self.growth)
             return tilings
 
         super().__init__(build)

@@ -35,13 +35,11 @@ The model is validated against a brute-force loop-nest interpreter in
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from ..mapping.mapping import Mapping
-from ..sparse.saf import compute_scales, traffic_scale
+from ..sparse.saf import compute_scales
 from ..sparse.spec import SparsitySpec
-from ..workloads.expression import IndexExpr, TensorRef
 from .terms import MappingView, ModelInfo, model_info, pair_term
 
 
@@ -115,83 +113,6 @@ class AccessCounts:
     def level_total(self, index: int) -> float:
         """Total words moved through one level (reads + writes)."""
         return self.levels[index].total
-
-
-def _flat_temporal_loops(mapping: Mapping, above_level: int
-                         ) -> list[tuple[str, int]]:
-    """Temporal loops above storage level ``above_level``.
-
-    Returned outermost-first: top level's nest first, each level's loops in
-    their stated order.  Bound-1 loops are dropped (they are no-ops and must
-    not break reuse chains).
-    """
-    loops: list[tuple[str, int]] = []
-    for i in reversed(range(above_level + 1, mapping.arch.num_levels)):
-        loops.extend(mapping.levels[i].nontrivial_temporal())
-    return loops
-
-
-def _fill_multiplier(loops: list[tuple[str, int]],
-                     indexing: frozenset[str]) -> tuple[float, float,
-                                                        str | None, int]:
-    """(fills, distinct_tiles, innermost_relevant_dim, its_bound).
-
-    ``fills``: product of bounds at or above the innermost relevant loop.
-    ``distinct_tiles``: product of bounds of relevant loops only.
-    """
-    fills = 1.0
-    distinct = 1.0
-    innermost_dim: str | None = None
-    innermost_bound = 1
-    # Scan from the innermost loop outwards; trailing non-indexing loops
-    # reuse the tile and contribute nothing.
-    relevant_seen = False
-    for dim, bound in reversed(loops):
-        if dim in indexing:
-            distinct *= bound
-            if not relevant_seen:
-                relevant_seen = True
-                innermost_dim = dim
-                innermost_bound = bound
-            fills *= bound
-        elif relevant_seen:
-            fills *= bound
-    return fills, distinct, innermost_dim, innermost_bound
-
-
-def _window_expr_for(tensor: TensorRef, dim: str) -> IndexExpr | None:
-    for expr in tensor.indices:
-        if expr.is_window and dim in expr.dims:
-            return expr
-    return None
-
-
-def _partial_reuse_words(
-    tensor: TensorRef,
-    child_sizes: dict[str, int],
-    fills: float,
-    innermost_dim: str,
-    innermost_bound: int,
-    footprint: int,
-) -> float:
-    """Word volume of temporal fills with sliding-window overlap removed.
-
-    Only the innermost relevant loop's overlap is exploited (consecutive
-    fetches); overlap across outer loop restarts is conservatively ignored.
-    """
-    expr = _window_expr_for(tensor, innermost_dim)
-    if expr is None or innermost_bound <= 1:
-        return fills * footprint
-    extent = expr.extent(child_sizes)
-    if innermost_dim == expr.dims[0]:
-        step = child_sizes.get(innermost_dim, 1) * expr.stride
-    else:
-        step = child_sizes.get(innermost_dim, 1)
-    step = min(step, extent)
-    other = footprint / extent
-    sweeps = fills / innermost_bound
-    words_per_sweep = other * (extent + (innermost_bound - 1) * step)
-    return sweeps * words_per_sweep
 
 
 def count_accesses(mapping: Mapping, partial_reuse: bool = True,

@@ -40,7 +40,7 @@ from .. import optional_numpy
 from ..mapping.mapping import Mapping
 from ..sparse.spec import SparsitySpec
 from .cost import CostResult, evaluate
-from .terms import ModelInfo, _compute_term, _level_problems, model_info
+from .terms import ModelInfo, _compute_term, model_info
 
 # Whether numpy is installed, for reports; evaluation paths read the
 # switch optional_numpy.np when called.
@@ -369,24 +369,23 @@ def _pair_term_cols(info, tinfo, child, partial_reuse, spec, geo, idxb):
 def _violations_cols(info, geo):
     """Per-candidate violation lists, one check per distinct profile.
 
-    Mirrors ``Mapping.validate`` (same strings, same order) but builds
-    one fused fingerprint row per candidate — every level's spatial
-    unrolling plus the tile spans its capacity check reads — and runs
-    :func:`~repro.model.terms._level_problems` once per distinct row,
+    Builds one fused fingerprint row per candidate — every level's
+    spatial unrolling plus the tile spans its capacity verdict reads
+    (``PlacementTable.capacity_dims``) — and asks the placement table,
+    the rule ``Mapping.validate`` reads too, once per distinct row,
     sharing the (immutable) result lists across candidates.
     """
     np = optional_numpy.np
-    cols = [geo.sp_all, geo.sp_counts]
+    table = info.placement
     num = info.num_levels
-    offsets = []
+    cols = [geo.sp_all, geo.sp_counts]
+    spans = []
     off = 2 * num
-    for _lvl, kind, _payload, _union, union_idx in info.level_checks:
-        if kind == "skip":
-            offsets.append(None)
-        else:
-            cols.append(geo.spans(len(offsets))[:, list(union_idx)])
-            offsets.append((off, off + len(union_idx)))
-            off += len(union_idx)
+    for level, dims in enumerate(table.capacity_dims):
+        if dims:
+            cols.append(geo.spans(level)[:, [info.dim_index[d] for d in dims]])
+        spans.append((dims, off, off + len(dims)))
+        off += len(dims)
     key_mat = np.column_stack(cols)
     local: dict[tuple, list[str]] = {}
     local_get = local.get
@@ -396,14 +395,10 @@ def _violations_cols(info, geo):
         problems = local_get(kt)
         if problems is None:
             problems = []
-            for i, (arch_level, kind, payload, union_dims, _uidx) in \
-                    enumerate(info.level_checks):
-                span = offsets[i]
-                sizes = dict(zip(union_dims, row[span[0]:span[1]])) \
-                    if span is not None else None
-                problems.extend(_level_problems(
-                    info, arch_level, kind, payload, row[i], row[num + i],
-                    sizes))
+            for level, (dims, start, stop) in enumerate(spans):
+                problems.extend(table.problems(
+                    level, row[level], row[num + level],
+                    dict(zip(dims, row[start:stop]))))
             local[kt] = problems
         # Fresh list per candidate: results must not alias each other.
         results.append(list(problems))

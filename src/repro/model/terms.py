@@ -25,9 +25,10 @@ term function, which is what makes them bit-identical by construction.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+import math
 from typing import TYPE_CHECKING
 
+from ..mapping.placement import PlacementTable, pair_memo, placement_table
 from ..sparse.saf import traffic_scale
 
 if TYPE_CHECKING:
@@ -44,30 +45,28 @@ if TYPE_CHECKING:
 class TensorModelInfo:
     """Per-tensor invariants the model reads on every evaluation."""
 
-    __slots__ = ("index", "tensor", "name", "role", "is_output", "indexing",
-                 "rel_dims", "rel_idx", "rel_total", "storage", "pairs",
-                 "innermost", "windows")
+    __slots__ = ("index", "name", "is_output", "indexing", "rel_dims",
+                 "rel_idx", "rel_total", "pairs", "innermost", "windows")
 
     def __init__(self, index: int, tensor: "TensorRef",
-                 storage: tuple[int, ...]) -> None:
+                 placement: PlacementTable, dim_index: dict[str, int]
+                 ) -> None:
         self.index = index
-        self.tensor = tensor
         self.name = tensor.name
-        self.role = tensor.role
         self.is_output = tensor.is_output
         self.indexing: frozenset[str] = tensor.indexing_dims
-        self.storage = storage
+        # The storage chain: the levels that are their own home.
+        storage = sorted(set(placement.homes[index]))
         self.pairs = tuple(zip(storage, storage[1:]))
         self.innermost = storage[0]
-        # Indexing dimensions in workload order: the tile spans over these
-        # dimensions are the only sizes the tensor's term reads.
-        self.rel_dims: tuple[str, ...] = ()
-        # Positions of rel_dims in the workload dimension order and the
-        # product of the problem sizes over them (set by ModelInfo).
-        self.rel_idx: tuple[int, ...] = ()
-        self.rel_total: int = 1
-        # dim -> the first sliding-window expression containing it
-        # (mirrors accesses._window_expr_for's first-match semantics).
+        # Indexing dimensions in workload order (the tile spans over
+        # these are the only sizes the tensor's term reads), their
+        # positions, and the product of the problem sizes over them.
+        self.rel_dims: tuple[str, ...] = placement.rel_dims[index]
+        self.rel_idx = tuple(dim_index[d] for d in self.rel_dims)
+        self.rel_total = math.prod(
+            placement.workload.dims[d] for d in self.rel_dims)
+        # dim -> the first sliding-window expression containing it.
         windows: dict[str, "IndexExpr"] = {}
         for expr in tensor.indices:
             if expr.is_window:
@@ -81,7 +80,7 @@ class ModelInfo:
 
     Built once (and memoised by :func:`model_info`) so the thousands of
     candidate evaluations of one search never re-derive storage levels,
-    indexing sets or footpr/window structure.
+    indexing sets or window structure.
     """
 
     def __init__(self, workload: "Workload", arch: "Architecture") -> None:
@@ -124,92 +123,16 @@ class ModelInfo:
             if arch.levels[i].link_bandwidth != float("inf"))
         self.dim_names = tuple(workload.dim_names)
         self.dim_index = {d: i for i, d in enumerate(self.dim_names)}
-        self.tensors: list[TensorModelInfo] = []
-        dim_names = workload.dim_names
-        for index, tensor in enumerate(workload.tensors):
-            storage = arch.storage_levels(tensor.role)
-            if not storage:
-                raise ValueError(
-                    f"tensor {tensor.name} (role {tensor.role}) "
-                    f"is stored nowhere"
-                )
-            tinfo = TensorModelInfo(index, tensor, tuple(storage))
-            tinfo.rel_dims = tuple(d for d in dim_names if d in tinfo.indexing)
-            tinfo.rel_idx = tuple(self.dim_index[d] for d in tinfo.rel_dims)
-            rel_total = 1
-            for d in tinfo.rel_dims:
-                rel_total *= workload.dims[d]
-            tinfo.rel_total = rel_total
-            self.tensors.append(tinfo)
-        # Footprint memo shared by terms and the fast validity check:
-        # (tensor index, tile spans over rel_dims) -> words.
-        self._footprints: dict[tuple, int] = {}
-        # Per-level capacity-check metadata for the cohort validity check:
-        # (arch level, "skip"|"unified"|"per-role", payload, union_dims,
-        # union_idx).
-        # Unified payload: (cap, stored tinfos); per-role payload:
-        # ((role, cap, tinfos), ...) with roles in first-tensor-encounter
-        # order, which mirrors the usage-dict insertion order of
-        # Mapping.validate.  ``union_dims`` (workload order) spans every
-        # stored tensor's indexing set: the tile sizes over it determine
-        # the level's capacity verdict, so it keys the cohort memo.
-        self.level_checks = []
-        for arch_level in arch.levels:
-            if arch_level.is_unbounded:
-                self.level_checks.append((arch_level, "skip", None, (), ()))
-                continue
-            by_role: dict[str, list[TensorModelInfo]] = {}
-            for tinfo in self.tensors:
-                if arch_level.stores(tinfo.role):
-                    by_role.setdefault(tinfo.role, []).append(tinfo)
-            stored = tuple(t for group in by_role.values() for t in group)
-            union = frozenset().union(*(t.indexing for t in stored)) \
-                if stored else frozenset()
-            union_dims = tuple(d for d in dim_names if d in union)
-            union_idx = tuple(self.dim_index[d] for d in union_dims)
-            if arch_level.is_unified:
-                self.level_checks.append(
-                    (arch_level, "unified",
-                     (arch_level.capacity_for("*"), stored),
-                     union_dims, union_idx))
-            else:
-                self.level_checks.append(
-                    (arch_level, "per-role",
-                     tuple((role, arch_level.capacity_for(role),
-                            tuple(group))
-                           for role, group in by_role.items()),
-                     union_dims, union_idx))
-
-    def footprint(self, tinfo: TensorModelInfo,
-                  sizes: dict[str, int], sizes_key: tuple) -> int:
-        key = (tinfo.index, sizes_key)
-        cached = self._footprints.get(key)
-        if cached is None:
-            if len(self._footprints) > 500_000:
-                self._footprints.clear()
-            cached = tinfo.tensor.footprint(sizes)
-            self._footprints[key] = cached
-        return cached
+        # Where each tensor lives: its storage chain and every capacity
+        # slot come from the one placement table.
+        self.placement = placement_table(workload, arch)
+        self.tensors = [
+            TensorModelInfo(index, tensor, self.placement, self.dim_index)
+            for index, tensor in enumerate(workload.tensors)]
 
 
-_INFO_CACHE: "OrderedDict[tuple[int, int], ModelInfo]" = OrderedDict()
-_INFO_MAX = 64
-
-
-def model_info(workload: "Workload", arch: "Architecture") -> ModelInfo:
-    """Memoised :class:`ModelInfo` for one (workload, arch) object pair."""
-    key = (id(workload), id(arch))
-    entry = _INFO_CACHE.get(key)
-    if (entry is not None and entry.workload is workload
-            and entry.arch is arch):
-        _INFO_CACHE.move_to_end(key)
-        return entry
-    entry = ModelInfo(workload, arch)
-    _INFO_CACHE[key] = entry
-    _INFO_CACHE.move_to_end(key)
-    while len(_INFO_CACHE) > _INFO_MAX:
-        _INFO_CACHE.popitem(last=False)
-    return entry
+# Memoised ModelInfo for one (workload, arch) object pair.
+model_info = pair_memo(ModelInfo)
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +321,7 @@ def pair_term(
 
 def _compute_term(info, tinfo, sizes, sizes_key, fills, inner_dim,
                   inner_bound, t_rel, partial_reuse, spec):
-    footprint = info.footprint(tinfo, sizes, sizes_key)
+    footprint = info.placement.footprint(tinfo.index, sizes, sizes_key)
     if partial_reuse and not tinfo.is_output and inner_dim is not None:
         fill_words = _window_fill_words(tinfo, sizes, fills, inner_dim,
                                         inner_bound, footprint)
@@ -410,51 +333,3 @@ def _compute_term(info, tinfo, sizes, sizes_key, fills, inner_dim,
         fill_words = fill_words * pair_scale
         pair_words = footprint * pair_scale
     return fills, t_rel, fill_words, pair_words
-
-
-# ---------------------------------------------------------------------------
-# fast validity check (mirrors Mapping.validate via the footprint memo)
-# ---------------------------------------------------------------------------
-
-def _level_problems(info, arch_level, kind, payload, sp_size, sp_count,
-                    sizes):
-    """One level's violation strings, identical in wording and order to
-    :meth:`repro.mapping.mapping.Mapping.validate` (pinned by
-    ``tests/test_model_batch.py``)."""
-    problems: list[str] = []
-    if sp_size > arch_level.fanout:
-        problems.append(
-            f"level {arch_level.name}: spatial unrolling "
-            f"{sp_size} exceeds fanout {arch_level.fanout}"
-        )
-    if sp_count > 2:
-        problems.append(
-            f"level {arch_level.name}: {sp_count} dimensions "
-            f"unrolled across a 2D fanout"
-        )
-    if kind == "skip":
-        return problems
-    footprint = info.footprint
-    if kind == "unified":
-        cap, stored = payload
-        total = 0
-        for tinfo in stored:
-            sizes_key = tuple(sizes[d] for d in tinfo.rel_dims)
-            total += footprint(tinfo, sizes, sizes_key)
-        if cap is not None and total > cap:
-            problems.append(
-                f"level {arch_level.name}: tile of {total} words "
-                f"exceeds unified capacity {cap}"
-            )
-    else:
-        for role, cap, group in payload:
-            used = 0
-            for tinfo in group:
-                sizes_key = tuple(sizes[d] for d in tinfo.rel_dims)
-                used += footprint(tinfo, sizes, sizes_key)
-            if cap is not None and used > cap:
-                problems.append(
-                    f"level {arch_level.name}: {role} tile of {used} "
-                    f"words exceeds capacity {cap}"
-                )
-    return problems

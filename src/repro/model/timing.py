@@ -28,6 +28,7 @@ import math
 from dataclasses import dataclass
 
 from ..mapping.mapping import Mapping
+from ..mapping.placement import placement_table
 from .accesses import AccessCounts, count_accesses
 
 
@@ -76,15 +77,11 @@ def analyze_timing(mapping: Mapping, partial_reuse: bool = True,
     # Pipeline fill: the first tile of every level must arrive before any
     # compute below it can start.  The fill of level i's first tile moves
     # footprint-at-(i-1) words through level i's read port.
+    table = placement_table(mapping.workload, arch)
     fill = 0.0
     for i in range(1, arch.num_levels):
-        level = arch.levels[i]
-        first_tile_words = sum(
-            mapping.footprint(i - 1, t.name)
-            for t in mapping.workload.tensors
-            if level.stores(t.role) or i == arch.num_levels - 1
-        )
-        fill += first_tile_words / level.read_bandwidth
+        first_tile = table.usage(i, mapping.cumulative_sizes(i - 1))
+        fill += sum(first_tile) / arch.levels[i].read_bandwidth
 
     refined = min(steady + fill, serialized)
     return TimingResult(

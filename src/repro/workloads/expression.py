@@ -261,10 +261,6 @@ class Workload:
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
-    def footprints(self, sizes: Mapping[str, int]) -> dict[str, int]:
-        """Per-tensor footprint for a tile spanning ``sizes`` per dim."""
-        return {t.name: t.footprint(sizes) for t in self.tensors}
-
     def scale(self, factors: Mapping[str, int]) -> "Workload":
         """Return a copy with some dimension sizes multiplied (e.g. batch)."""
         dims = dict(self.dims)

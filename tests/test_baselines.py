@@ -21,8 +21,9 @@ from repro.baselines import (
     simba_constraints,
     timeloop_search,
 )
-from repro.core import schedule
-from repro.workloads import INCEPTION_V3_LAYERS, conv1d, conv2d
+from repro.baselines.dmazerunner import _DMazeSearch
+from repro.core import SchedulerOptions, schedule
+from repro.workloads import INCEPTION_V3_LAYERS, conv1d, conv2d, make_workload
 
 
 @pytest.fixture
@@ -157,6 +158,21 @@ class TestDMazeRunner:
         dmaze = dmazerunner_search(small_conv, small_arch, DMAZE_SLOW)
         if dmaze.found:
             assert sunstone.edp <= dmaze.edp * 1.0001
+
+    def test_shared_role_capacity_counted_once(self):
+        """Two tensors in one role partition count that partition's
+        capacity once: at Simba's PEBuf, A and B share the 8,192-word
+        ifmap partition and out uses the 1,024-word ofmap one."""
+        wl = make_workload(
+            "mm", {"I": 8, "J": 8, "K": 8},
+            {"A": ["I", "K"], "B": ["K", "J"], "out": ["I", "J"]},
+            outputs=["out"],
+            roles={"A": "ifmap", "B": "ifmap", "out": "ofmap"},
+        )
+        arch = simba_like()
+        search = _DMazeSearch(wl, arch, DMAZE_FAST, SchedulerOptions())
+        pebuf = arch.level_index("PEBuf")
+        assert search._utilization(pebuf, dict(wl.dims)) == 192 / 9216
 
 
 class TestInterstellar:

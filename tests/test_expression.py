@@ -126,10 +126,10 @@ class TestWorkload:
 
     def test_footprints(self):
         wl = conv1d(K=4, C=4, P=7, R=3)
-        fps = wl.footprints({"K": 2, "C": 2, "P": 3, "R": 3})
-        assert fps["ofmap"] == 6
-        assert fps["weight"] == 12
-        assert fps["ifmap"] == 2 * 5
+        sizes = {"K": 2, "C": 2, "P": 3, "R": 3}
+        assert wl.tensor("ofmap").footprint(sizes) == 6
+        assert wl.tensor("weight").footprint(sizes) == 12
+        assert wl.tensor("ifmap").footprint(sizes) == 2 * 5
 
 
 class TestWorkloadValidation:

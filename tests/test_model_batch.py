@@ -11,12 +11,13 @@ exactly the rows the array path ran.
 
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.arch import conventional, diannao_like, tiny
+from repro.arch import conventional, diannao_like, simba_like, tiny
 from repro.baselines.common import prime_factors
 from repro.cli import main
 from repro.core import SchedulerOptions, schedule
@@ -39,13 +40,15 @@ def _matmul(i=8, j=8, k=8):
     )
 
 
-# Window/halo (conv), unified capacities (tiny/conventional), per-role
-# capacities + storage bypass (diannao on non-CNN roles), plain matmul.
+# Window/halo (conv), unified capacities (tiny/conventional), storage
+# bypass of every role (diannao on non-CNN roles), plain matmul, and
+# per-role capacities with weights bypassing the global buffer (simba).
 _CASES = [
     (conv1d(K=4, C=8, P=16, R=3), tiny()),
     (conv2d(N=1, K=8, C=8, P=6, Q=6, R=3, S=3), conventional()),
     (mttkrp(I=8, K=6, L=4, J=5), diannao_like()),
     (_matmul(8, 6, 8), tiny(l1_words=32, l2_words=256, pes=4)),
+    (conv2d(N=1, K=8, C=8, P=6, Q=6, R=3, S=3), simba_like()),
 ]
 
 # Unknown tensor names are ignored per workload, so one spec serves all
@@ -129,6 +132,7 @@ def test_violation_messages_match_mapping_validate():
     whichever producer staged the cohort."""
     rng = random.Random(7)
     saw_invalid = 0
+    seen: set[str] = set()
     for workload, arch in _CASES:
         mappings = _random_mappings(workload, arch, rng, 16)
         assert len(mappings) >= MIN_BATCH  # evaluate_batch stages them
@@ -144,7 +148,12 @@ def test_violation_messages_match_mapping_validate():
         else:
             assert staged is None
         saw_invalid += sum(map(bool, expected))
+        seen.update(re.sub(r"\d+", "N", p) for ps in expected for p in ps)
     assert saw_invalid > 0  # the sample must exercise the invalid branch
+    # ...and every kind of violation string, the per-role one included.
+    assert "level Regs: weight tile of N words exceeds capacity N" in seen
+    assert any("exceeds unified capacity" in p for p in seen)
+    assert any("exceeds fanout" in p for p in seen)
 
 
 # ---------------------------------------------------------------------------

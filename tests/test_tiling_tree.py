@@ -119,14 +119,6 @@ class TestEnumerateTilings:
         assert stats.nodes_visited > stats.candidates
         assert stats.nodes_pruned_dominated > 0
 
-    def test_max_candidates_cap(self, conv):
-        arch = _arch(64)
-        tilings = enumerate_tilings(
-            conv, arch, 0, {d: 1 for d in conv.dims}, dict(conv.dims),
-            ("P", "K", "C", "R"), max_candidates=1,
-        )
-        assert len(tilings) == 1
-
     def test_pruned_smaller_than_unpruned(self, conv):
         arch = _arch(64)
         pruned_stats = TilingStats()
