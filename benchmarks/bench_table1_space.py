@@ -25,20 +25,15 @@ from repro.workloads import INCEPTION_EXAMPLE_LAYER
 
 # Pinned (tiling, ordering, unrolling) per tool for the Inception-v3
 # example layer on the conventional architecture.  Sunstone's row is the
-# measured (deterministic) evaluation count: 750 candidates evaluated,
-# with a further 668 (the pinned ``pruned`` count below) proven
-# redundant by the analytic branch-and-bound layer without evaluation
-# (750 + 668 = the historical 1418-candidate walk).
+# measured (deterministic) count of the candidates its search walks and
+# evaluates.
 REFERENCE_ROWS = {
     "timeloop": (918540, 5040, 4480),
     "marvel": (2007488, 840, 1),
     "interstellar": (918540, 10, 70),
     "dmazerunner": (45927, 10, 112),
-    "sunstone": (750, 1, 1),
+    "sunstone": (1418, 1, 1),
 }
-
-# Pinned bound-pruned candidate counts (measured rows only).
-REFERENCE_PRUNED = {"sunstone": 668}
 
 
 @pytest.fixture(scope="module")
@@ -52,8 +47,8 @@ def test_table1_rows(layer, paper_report):
 
     paper_report(
         "Table I: optimization-space size (Inception-v3 example layer)",
-        [f"{row.tool:<14} {row.total:>12.2e} "
-         f"(+{row.pruned} bound-pruned)   {row.notes}" for row in rows],
+        [f"{row.tool:<14} {row.total:>12.2e}   {row.notes}"
+         for row in rows],
     )
 
     assert by_tool["timeloop"] > by_tool["marvel"]
@@ -91,21 +86,17 @@ def main(argv=None) -> int:
     layer = INCEPTION_EXAMPLE_LAYER.inference(batch=1)
     rows = table1(layer, conventional())
     print(f"{'tool':<14} {'tiling':>12} {'ordering':>9} {'unrolling':>10} "
-          f"{'total':>12} {'pruned':>8}")
+          f"{'total':>12}")
     failures = []
     for row in rows:
         print(f"{row.tool:<14} {row.tiling:>12} {row.ordering:>9} "
-              f"{row.unrolling:>10} {row.total:>12.2e} {row.pruned:>8}")
+              f"{row.unrolling:>10} {row.total:>12.2e}")
         if args.check:
             expected = REFERENCE_ROWS[row.tool]
             actual = (row.tiling, row.ordering, row.unrolling)
             if actual != expected:
                 failures.append(f"{row.tool}: expected {expected}, "
                                 f"got {actual}")
-            expected_pruned = REFERENCE_PRUNED.get(row.tool, 0)
-            if row.pruned != expected_pruned:
-                failures.append(f"{row.tool}: expected {expected_pruned} "
-                                f"bound-pruned, got {row.pruned}")
     if failures:
         print("space-size regression:")
         for line in failures:

@@ -93,20 +93,10 @@ class SpaceEstimate:
     ordering: int
     unrolling: int
     notes: str = ""
-    # Candidates the analytic branch-and-bound layer proved redundant
-    # without evaluating them (measured rows only; the closed-form
-    # estimates define spaces that are never walked, so 0 there).
-    pruned: int = 0
 
     @property
     def total(self) -> int:
         return self.tiling * self.ordering * self.unrolling
-
-    @property
-    def considered(self) -> int:
-        """Candidates the mapper would walk without analytic bounds:
-        the enumerated count plus the bound-pruned count."""
-        return self.total + self.pruned
 
 
 def timeloop_space(workload: Workload, arch: Architecture) -> SpaceEstimate:
@@ -188,7 +178,6 @@ def sunstone_space(workload: Workload, arch: Architecture) -> SpaceEstimate:
         ordering=1,
         unrolling=1,
         notes="measured candidate evaluations",
-        pruned=result.stats.prune.bound.candidates_skipped,
     )
 
 

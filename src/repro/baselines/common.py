@@ -37,15 +37,16 @@ class SearchResult(MappingOutcome):
     # notion of candidates considered (cache hits included), matching the
     # paper's search-size accounting.
     search_stats: SearchStats | None = None
-    # Branch-and-bound certificate: {"lower_bound", "best_value",
-    # "gap_pct"} when the search ran with analytic bounds enabled.
+    # Optimality certificate: {"lower_bound", "best_value", "gap_pct"}
+    # from the analytic whole-space bound (the Sunstone-sweep mappers,
+    # and the exhaustive walker when it runs branch-and-bound).
     certificate: dict | None = None
 
 
 def certificate_from_bound(bound_stats) -> dict | None:
     """Build a ``SearchResult.certificate`` dict from a
     :class:`~repro.mapspace.spaces.BoundStats` record (``None`` when the
-    search ran without bounds or found nothing)."""
+    search found nothing)."""
     if bound_stats is None or bound_stats.lower_bound is None:
         return None
     cert = {"lower_bound": bound_stats.lower_bound,

@@ -183,12 +183,10 @@ def dmazerunner_search(
     sparsity: SparsitySpec | None = None,
     cache_size: int | None = None,
     shard: tuple[int, int] | None = None,
-    bound: bool = True,
 ) -> SearchResult:
     """Run the dMazeRunner-like search.
 
-    ``bound`` enables the scheduler's analytic branch-and-bound pruning
-    (behaviour-preserving: the winner is bit-identical either way).
+    Found results carry the scheduler's optimality certificate.
     """
     start = time.perf_counter()
     if _is_asymmetric_convolution(workload):
@@ -212,7 +210,6 @@ def dmazerunner_search(
         sparsity=sparsity,
         cache_size=cache_size,
         shard=shard,
-        bound=bound,
     )
     search = _DMazeSearch(workload, arch, config, options, engine=engine)
     result = search.schedule()

@@ -95,12 +95,10 @@ def interstellar_search(
     sparsity: SparsitySpec | None = None,
     cache_size: int | None = None,
     shard: tuple[int, int] | None = None,
-    bound: bool = True,
 ) -> SearchResult:
     """Run the Interstellar-like search.
 
-    ``bound`` enables the scheduler's analytic branch-and-bound pruning
-    (behaviour-preserving: the winner is bit-identical either way).
+    Found results carry the scheduler's optimality certificate.
     """
     start = time.perf_counter()
     options = SchedulerOptions(
@@ -112,7 +110,6 @@ def interstellar_search(
         sparsity=sparsity,
         cache_size=cache_size,
         shard=shard,
-        bound=bound,
     )
     search = _InterstellarSearch(workload, arch, config, options,
                                  engine=engine)

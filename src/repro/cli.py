@@ -262,8 +262,7 @@ def cmd_schedule(args: argparse.Namespace) -> int:
                                cache=not args.no_cache,
                                sparsity=sparsity,
                                cache_size=args.cache_size,
-                               shard=_parse_shard(args.shard),
-                               bound=not args.no_bound)
+                               shard=_parse_shard(args.shard))
     journal = _open_journal(args, {
         "kind": "schedule",
         "workload": workload_to_dict(workload),
@@ -334,7 +333,7 @@ def compare_runners(workload: Workload, arch: Architecture,
     build their own, keeping their exact cold configuration.
     """
     cache, sparsity = options.cache, options.sparsity
-    cache_size, shard, bound = options.cache_size, options.shard, options.bound
+    cache_size, shard = options.cache_size, options.shard
     return {
         "sunstone": lambda: schedule(workload, arch, options,
                                      engine=engine),
@@ -347,11 +346,10 @@ def compare_runners(workload: Workload, arch: Architecture,
                                                        cache=cache,
                                                        sparsity=sparsity,
                                                        cache_size=cache_size,
-                                                       shard=shard,
-                                                       bound=bound),
+                                                       shard=shard),
         "interstellar-like": lambda: interstellar_search(
             workload, arch, cache=cache, sparsity=sparsity,
-            cache_size=cache_size, shard=shard, bound=bound),
+            cache_size=cache_size, shard=shard),
         "cosa-like": lambda: cosa_search(workload, arch,
                                          sparsity=sparsity,
                                          cache_size=cache_size),
@@ -404,8 +402,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     options = SchedulerOptions(cache=not args.no_cache,
                                sparsity=sparsity,
                                cache_size=args.cache_size,
-                               shard=_parse_shard(args.shard),
-                               bound=not args.no_bound)
+                               shard=_parse_shard(args.shard))
     journal = _open_journal(args, {
         "kind": "compare",
         "workload": workload_to_dict(workload),
@@ -476,8 +473,7 @@ def cmd_network(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     arch = build_architecture(args.arch, args.tech)
     options = SchedulerOptions(cache=not args.no_cache,
-                               cache_size=args.cache_size,
-                               bound=not args.no_bound)
+                               cache_size=args.cache_size)
     journal = _open_journal(args, {
         "kind": "network",
         "model": args.model,
@@ -730,8 +726,6 @@ def _build_job_spec(args: argparse.Namespace) -> dict:
         spec["shards"] = args.shards
     if args.kind == "compare" and args.mappers:
         spec["mappers"] = args.mappers
-    if getattr(args, "no_bound", False):
-        spec["options"] = {"bound": False}
     return spec
 
 
@@ -813,11 +807,6 @@ def make_parser() -> argparse.ArgumentParser:
     def add_engine_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--no-cache", action="store_true",
                        help="disable cost-result memoisation")
-        p.add_argument("--no-bound", action="store_true",
-                       help="disable analytic branch-and-bound pruning "
-                            "(repro.mapspace.bounds); results are "
-                            "identical, only more candidates are "
-                            "evaluated")
         p.add_argument("--cache-size", type=nonnegative_int, default=None,
                        metavar="N",
                        help="entry cap for the result cache "
@@ -1030,9 +1019,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--mappers",
                    help="comma-separated baseline subset (--kind compare)")
     add_sparsity_flags(p)
-    p.add_argument("--no-bound", action="store_true",
-                   help="run the job without analytic branch-and-bound "
-                        "pruning (results are identical)")
     p.add_argument("--wait", action="store_true",
                    help="block until the result is ready and print it")
     p.add_argument("dims", nargs="*", help="DIM=SIZE assignments")

@@ -33,7 +33,7 @@ from ..arch.spec import Architecture
 from ..mapping.mapping import Mapping, MappingError, build_mapping
 from ..mapping.placement import placement_table
 from ..mapspace.batch import NestCohort
-from ..mapspace.bounds import BoundModel, Region
+from ..mapspace.bounds import BoundModel
 from ..mapspace.factor import prime_factors
 from ..mapspace.spaces import (
     DependentSpace,
@@ -106,14 +106,6 @@ class SchedulerOptions:
     # part of the evaluation-cache key, so dense and sparse searches never
     # exchange results.
     sparsity: SparsitySpec | None = None
-    # Analytic branch-and-bound pruning (repro.mapspace.bounds): the
-    # final sweep step and the polish skip candidates whose closed-form
-    # lower bound strictly exceeds the incumbent, and the result carries
-    # a certificate (best value vs the whole-space lower bound) in
-    # ``stats.prune.bound``.  Behaviour-preserving: the best mapping and
-    # its cost are bit-identical with the flag off; only evaluation
-    # counts change (tests/test_bounds.py).
-    bound: bool = True
     # Deterministic shard of the per-step candidate stream: ``(i, n)``
     # keeps only the candidates whose enumeration index is congruent to
     # ``i`` modulo ``n``.  The ``n`` shards are pairwise disjoint and
@@ -154,11 +146,6 @@ class SchedulerStats:
     # Engine-side telemetry (shared with the engine, which may itself be
     # shared across searches — e.g. the layers of one network).
     search: SearchStats = field(default_factory=SearchStats)
-
-    @property
-    def space_size(self) -> int:
-        """Number of complete mappings the search evaluated."""
-        return self.evaluations
 
 
 @dataclass
@@ -244,20 +231,22 @@ class SunstoneScheduler:
         # persisted, and a journal opened with ``resume=True`` continues
         # the search from the last completed step instead of restarting.
         self._journal = journal
-        # Lazy analytic bound model (options.bound); shared by the final
-        # sweep step, the polish, and the result certificate.
-        self._bounds: BoundModel | None = None
 
-    def _bound_model(self) -> "BoundModel | None":
-        if not self.options.bound:
-            return None
-        if self._bounds is None:
-            self._bounds = BoundModel(
-                self.workload, self.arch,
-                objective=self.options.objective,
-                partial_reuse=self.options.partial_reuse,
-                sparsity=self.options.sparsity)
-        return self._bounds
+    def _certify(self, stats: SchedulerStats, cost: CostResult) -> None:
+        """Record the optimality certificate of a phase's winner: the
+        analytic floor of the whole mapping space (which bounds the
+        scheduler's restricted space from below too) against the
+        winner's value, in ``stats.prune.bound``.  One ``space_bound``
+        call per phase; the sweep and the polish never test a bound,
+        they evaluate every candidate exactly."""
+        bnd = stats.prune.bound
+        bnd.lower_bound = BoundModel(
+            self.workload, self.arch,
+            objective=self.options.objective,
+            partial_reuse=self.options.partial_reuse,
+            sparsity=self.options.sparsity).space_bound()
+        bnd.best_value = (cost.edp if self.options.objective == "edp"
+                          else cost.energy_pj)
 
     # ------------------------------------------------------------------
     # public API
@@ -299,15 +288,10 @@ class SunstoneScheduler:
             return ScheduleResult(None, None, stats, self.options)
         mapping = mapping_from_dict(doc)
         cost = self._engine.evaluate(mapping)
-        bound_model = self._bound_model()
-        if bound_model is not None:
-            # The certificate is a pure function of the analytic model
-            # and the journaled winner, so the restored run reports the
-            # same line the uninterrupted one printed.
-            bnd = stats.prune.bound
-            bnd.lower_bound = bound_model.space_bound()
-            bnd.best_value = (cost.edp if self.options.objective == "edp"
-                              else cost.energy_pj)
+        # The certificate is a pure function of the analytic model and
+        # the journaled winner, so the restored run reports the same
+        # line the uninterrupted one printed.
+        self._certify(stats, cost)
         return ScheduleResult(mapping, cost, stats, self.options)
 
     def _run_with_escalation(self) -> ScheduleResult:
@@ -342,7 +326,6 @@ class SunstoneScheduler:
                     result = escalated
                 else:
                     result.stats.evaluations = escalated.stats.evaluations
-                    result.stats.prune.bound = escalated.stats.prune.bound
         return result
 
     def _schedule_once(self, phase: str = "base") -> ScheduleResult:
@@ -360,23 +343,10 @@ class SunstoneScheduler:
             best = self._polish(best[0], best[1], stats)
 
         stats.wall_time_s = time.perf_counter() - start
-        bound_model = self._bound_model()
-        if bound_model is not None:
-            bnd = stats.prune.bound
-            if best is not None:
-                # Optimality certificate: the whole-space analytic floor
-                # bounds the scheduler's restricted space from below too.
-                bnd.lower_bound = bound_model.space_bound()
-                cost = best[1]
-                bnd.best_value = (cost.edp if self.options.objective == "edp"
-                                  else cost.energy_pj)
-            eng_stats = self._engine.stats
-            eng_stats.bound_regions_tested += bnd.regions_tested
-            eng_stats.bound_regions_pruned += bnd.regions_pruned
-            eng_stats.bound_candidates_skipped += bnd.candidates_skipped
         if best is None:
             return ScheduleResult(None, None, stats, self.options)
         mapping, cost = best
+        self._certify(stats, cost)
         return ScheduleResult(mapping, cost, stats, self.options)
 
     # ------------------------------------------------------------------
@@ -443,8 +413,6 @@ class SunstoneScheduler:
                     store[level][dim] = current // p
             return temporal, spatial
 
-        bound_model = self._bound_model()
-
         def try_candidate(temporal, spatial, orders) -> bool:
             nonlocal best_mapping, best_cost, best_value
             try:
@@ -454,20 +422,8 @@ class SunstoneScheduler:
                     spatial=[dict(s) for s in spatial],
                     orders=orders,
                 )
-            except Exception:
+            except MappingError:
                 return False
-            if bound_model is not None:
-                # Point bound: a candidate whose analytic floor strictly
-                # exceeds the incumbent can never be accepted (its value
-                # is >= floor > best_value, and acceptance requires
-                # value < best_value), so the evaluation is skipped
-                # without changing the climb.
-                bnd = stats.prune.bound
-                bnd.regions_tested += 1
-                if bound_model.mapping_bound(candidate) > best_value:
-                    bnd.regions_pruned += 1
-                    bnd.candidates_skipped += 1
-                    return False
             result = self._engine.evaluate(candidate)
             stats.evaluations += 1
             if result.valid and value_of(result) < best_value:
@@ -585,10 +541,6 @@ class SunstoneScheduler:
                 stats.evaluations = restored["evaluations"]
                 stats.pruned_alpha_beta = restored["pruned_alpha_beta"]
                 stats.pruned_beam = restored["pruned_beam"]
-                tested, pruned, skipped = restored.get("bound", (0, 0, 0))
-                stats.prune.bound.regions_tested = tested
-                stats.prune.bound.regions_pruned = pruned
-                stats.prune.bound.candidates_skipped = skipped
                 if restored["best"] is not None:
                     mapping = mapping_from_dict(restored["best"])
                     cost = engine.evaluate(mapping)
@@ -607,61 +559,9 @@ class SunstoneScheduler:
             for _, state in frontier:
                 children.extend(
                     self._children(state, level, orderings, stats, bottom_up))
-            # Final step only: these children feed nothing but the
-            # running best (the post-step frontier is never read again),
-            # so a child whose analytic floor strictly exceeds the
-            # incumbent provably cannot improve it — value >= floor >
-            # best-at-skip-time >= best at any later point of the scan —
-            # and is dropped before evaluation.  Mid-sweep filtering
-            # would alter the beam frontier and is therefore never done.
-            bound_model = self._bound_model()
-            final_bound = (bound_model is not None and best is not None
-                           and ordinal == len(steps) - 1)
-            bnd = stats.prune.bound
-            kept: list[_State] = []
-            nests = []
-            for child in children:
-                # One completion per child serves its bound region and
-                # its nests.
-                temporal, spatial = self._completion_factors(child)
-                if final_bound:
-                    region = Region(temporal, spatial, {}, num)
-                    bnd.regions_tested += 1
-                    if bound_model.region_bound(region) > best[0]:
-                        bnd.regions_pruned += 1
-                        bnd.candidates_skipped += 1
-                        continue
-                kept.append(child)
-                nests.append(self._completion_nests(child, temporal, spatial))
-            children = kept
-            # Batch the whole level: the engine dedupes equal fingerprints
-            # and vectorises the misses, returning results in candidate
-            # order so ranking matches the serial path exactly.
-            # Candidates stream as a nest cohort; a Mapping is built only
-            # when a child improves the running best.
-            cohort = NestCohort.from_nests(self.workload, self.arch, nests)
-            engine.stats.add_stage_time(
-                "generation", time.perf_counter() - level_start)
-            costs = engine.evaluate_cohort(cohort)
+            scored, best = self._score_step(children, bottom_up, best,
+                                            level_start)
             stats.evaluations += len(children)
-            scored: list[tuple[float, _State]] = []
-            for idx, (child, cost) in enumerate(zip(children, costs)):
-                value = (cost.edp if self.options.objective == "edp"
-                         else cost.energy_pj)
-                if not cost.valid:
-                    if bottom_up:
-                        # Occupancy only grows as more levels are
-                        # decided bottom-up, so an invalid completion
-                        # can never become valid.
-                        continue
-                    # Top-down estimates park residual factors at a
-                    # lower level and may be (transiently) invalid;
-                    # keep searching through them.
-                    scored.append((value, child))
-                    continue
-                scored.append((value, child))
-                if best is None or value < best[0]:
-                    best = (value, cohort.materialize(idx), cost)
             engine.stats.add_level_time(
                 self.arch.levels[level].name,
                 time.perf_counter() - level_start)
@@ -678,6 +578,52 @@ class SunstoneScheduler:
         if best is not None:
             return best[1], best[2]
         return None
+
+    def _score_step(
+        self,
+        children: list[_State],
+        bottom_up: bool,
+        best: tuple[float, Mapping, CostResult] | None,
+        level_start: float,
+    ) -> tuple[list[tuple[float, _State]],
+               tuple[float, Mapping, CostResult] | None]:
+        """Evaluate one step's children exactly and fold them into the
+        running best; returns the scored children and the new best.
+
+        The whole step is one batch: the engine dedupes equal
+        fingerprints and vectorises the misses, returning results in
+        candidate order so ranking matches the serial path exactly.
+        Candidates stream as a nest cohort; a Mapping is built only when
+        a child improves the running best.  The nests, the cohort and
+        the costs live only in this frame, so they are freed before the
+        caller ranks the frontier.
+        """
+        engine = self._engine
+        cohort = NestCohort.from_nests(
+            self.workload, self.arch,
+            [self._completion_nests(child) for child in children])
+        engine.stats.add_stage_time(
+            "generation", time.perf_counter() - level_start)
+        costs = engine.evaluate_cohort(cohort)
+        scored: list[tuple[float, _State]] = []
+        for idx, (child, cost) in enumerate(zip(children, costs)):
+            value = (cost.edp if self.options.objective == "edp"
+                     else cost.energy_pj)
+            if not cost.valid:
+                if bottom_up:
+                    # Occupancy only grows as more levels are decided
+                    # bottom-up, so an invalid completion can never
+                    # become valid.
+                    continue
+                # Top-down estimates park residual factors at a lower
+                # level and may be (transiently) invalid; keep
+                # searching through them.
+                scored.append((value, child))
+                continue
+            scored.append((value, child))
+            if best is None or value < best[0]:
+                best = (value, cohort.materialize(idx), cost)
+        return scored, best
 
     # ------------------------------------------------------------------
     # checkpoint (de)serialisation
@@ -706,9 +652,6 @@ class SunstoneScheduler:
             "evaluations": stats.evaluations,
             "pruned_alpha_beta": stats.pruned_alpha_beta,
             "pruned_beam": stats.pruned_beam,
-            "bound": [stats.prune.bound.regions_tested,
-                      stats.prune.bound.regions_pruned,
-                      stats.prune.bound.candidates_skipped],
         })
         self._journal.save_cache_snapshot(self._engine.cache)
 
@@ -1133,21 +1076,25 @@ class SunstoneScheduler:
     # ------------------------------------------------------------------
     # completion of a partial schedule
     # ------------------------------------------------------------------
-    def _completion_factors(
-        self, state: _State,
-    ) -> tuple[list[dict], list[dict]]:
-        """The fully-decided per-level (temporal, spatial) factor dicts
-        of a partial schedule's completion: frontier extents parked at
-        the sink level (outermost for bottom-up partials, innermost for
-        top-down), residual factors pushed to the top, mirroring
-        ``build_mapping``."""
+    def _completion_nests(self, state: _State) -> tuple[tuple, tuple]:
+        """The completed per-level nests of a partial schedule, without
+        the ``Mapping``: ``(nests, spatials)`` where ``nests`` are
+        temporal nest tuples (outermost first, trivial factors included;
+        undecided levels in workload dim order) and ``spatials`` sorted
+        spatial factor tuples — the exact ``LevelMapping`` contents
+        ``build_mapping`` would produce for the completion, which
+        ``NestCohort.materialize`` rebuilds bit-for-bit.  The completion
+        parks frontier extents at the sink level (outermost for
+        bottom-up partials, innermost for top-down) and pushes residual
+        factors to the top, mirroring ``build_mapping``.
+        """
         num = self.arch.num_levels
         temporal = [dict(t) for t in state.temporal]
         sink = state.sink_level
         for d, extent in state.frontier.items():
             if extent > 1:
                 temporal[sink][d] = temporal[sink].get(d, 1) * extent
-        spatial = [dict(s) for s in state.spatial]
+        spatial = state.spatial
         for dim, size in self.workload.dims.items():
             covered = 1
             for i in range(num):
@@ -1161,21 +1108,6 @@ class SunstoneScheduler:
             if residual > 1:
                 top = temporal[num - 1]
                 top[dim] = top.get(dim, 1) * residual
-        return temporal, spatial
-
-    def _completion_nests(
-        self, state: _State, temporal: list[dict], spatial: list[dict],
-    ) -> tuple[tuple, tuple]:
-        """The completed per-level nests of a partial schedule, without
-        the ``Mapping``: ``(nests, spatials)`` where ``nests`` are
-        temporal nest tuples (outermost first, trivial factors included;
-        undecided levels in workload dim order) and ``spatials`` sorted
-        spatial factor tuples — the exact ``LevelMapping`` contents
-        ``build_mapping`` would produce for the completion, which
-        ``NestCohort.materialize`` rebuilds bit-for-bit.  ``temporal``
-        and ``spatial`` are the state's :meth:`_completion_factors`.
-        """
-        num = self.arch.num_levels
         dim_names = self.workload.dim_names
         nests = []
         spatials = []

@@ -51,28 +51,21 @@ def _shard_stream(stream: Iterator, shard: tuple[int, int] | None) -> Iterator:
 
 @dataclass
 class BoundStats:
-    """Branch-and-bound accounting (docs/MAPSPACE.md).
+    """A search's optimality certificate (docs/MAPSPACE.md).
 
-    ``regions_tested`` / ``regions_pruned`` count whole-region bound
-    tests and the regions discarded; ``candidates_skipped`` counts the
-    individual evaluations those prunes (plus point-bound skips)
-    provably avoided.  ``lower_bound`` is the analytic bound over the
-    whole space and ``best_value`` the incumbent at search end — their
-    ratio is the bound-tightness certificate ("best found is within
-    ``gap_pct()``% of the analytic lower bound").
+    ``lower_bound`` is the analytic bound over the whole space and
+    ``best_value`` the incumbent at search end — their ratio is the
+    bound-tightness certificate ("best found is within ``gap_pct()``% of
+    the analytic lower bound").  The exhaustive walker's region-prune
+    counters live on :class:`repro.search.SearchStats`.
     """
 
-    regions_tested: int = 0
-    regions_pruned: int = 0
-    candidates_skipped: int = 0
     lower_bound: float | None = None
     best_value: float | None = None
 
     def active(self) -> bool:
-        """True once any bound machinery has run."""
-        return bool(self.regions_tested or self.regions_pruned
-                    or self.candidates_skipped
-                    or self.lower_bound is not None)
+        """True once a certificate has been recorded."""
+        return self.lower_bound is not None
 
     def gap_pct(self) -> float | None:
         """Certificate gap: how far (in %) the best found sits above the
@@ -83,9 +76,6 @@ class BoundStats:
         return (self.best_value / self.lower_bound - 1.0) * 100.0
 
     def merge(self, other: "BoundStats") -> None:
-        self.regions_tested += other.regions_tested
-        self.regions_pruned += other.regions_pruned
-        self.candidates_skipped += other.candidates_skipped
         if other.lower_bound is not None:
             self.lower_bound = (other.lower_bound
                                 if self.lower_bound is None
@@ -97,11 +87,7 @@ class BoundStats:
                                else min(self.best_value, other.best_value))
 
     def to_dict(self) -> dict:
-        doc: dict = {
-            "regions_tested": self.regions_tested,
-            "regions_pruned": self.regions_pruned,
-            "candidates_skipped": self.candidates_skipped,
-        }
+        doc: dict = {}
         if self.lower_bound is not None:
             doc["lower_bound"] = self.lower_bound
         if self.best_value is not None:
@@ -124,8 +110,8 @@ class PruneStats:
 
     considered: dict[str, int] = field(default_factory=dict)
     dropped: dict[str, int] = field(default_factory=dict)
-    # Branch-and-bound counters ride along with the pass counters so one
-    # SchedulerStats.prune object tells the whole pruning story.
+    # The optimality certificate rides along with the pass counters so
+    # one SchedulerStats.prune object tells the whole pruning story.
     bound: BoundStats = field(default_factory=BoundStats)
 
     def record(self, name: str, kept: bool) -> None:

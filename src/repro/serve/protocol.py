@@ -74,6 +74,45 @@ def job_fingerprint(job: dict) -> str:
 # ---------------------------------------------------------------------------
 # normalisation
 # ---------------------------------------------------------------------------
+#
+# One rule for hostile input: a dim size, a shard count or a cache size
+# must be a JSON integer (never a bool, never coerced), a sparsity
+# assignment or a mapper name must be a string, and any other malformed
+# field raises ProtocolError naming the field.  Nothing else may escape
+# normalisation, because the daemon answers anything else with a 500.
+
+# What the document parsers raise on a malformed (not merely invalid)
+# field: a missing key, a wrong container or scalar type.
+_MALFORMED = (AttributeError, KeyError, TypeError, ValueError)
+
+
+def _json_int(value: Any, field: str) -> int:
+    """``value`` when it is a JSON integer, else a ProtocolError naming
+    ``field`` (``true`` is not 1 and ``4.5`` is not 4)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ProtocolError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
+def _json_strings(value: Any, field: str) -> list[str]:
+    """A list of strings (``null`` reads as empty), else a ProtocolError
+    naming ``field``."""
+    if value is None:
+        return []
+    if (not isinstance(value, list)
+            or not all(isinstance(item, str) for item in value)):
+        raise ProtocolError(f"{field} must be a list of strings, "
+                            f"got {value!r}")
+    return list(value)
+
+
+def _check_dims(dims: Any) -> dict:
+    if not isinstance(dims, dict):
+        raise ProtocolError(f"workload dims must be an object, got {dims!r}")
+    for name, size in dims.items():
+        _json_int(size, f"workload dim {name!r}")
+    return dims
+
 
 def _normalize_workload(entry: Any) -> dict:
     """Resolve a workload reference to its serialised document.
@@ -85,9 +124,10 @@ def _normalize_workload(entry: Any) -> dict:
     if not isinstance(entry, dict):
         raise ProtocolError(f"workload must be an object, got {entry!r}")
     if "tensors" in entry:
+        _check_dims(entry.get("dims"))
         try:
             return workload_to_dict(workload_from_dict(entry))
-        except (KeyError, TypeError, ValueError) as error:
+        except _MALFORMED as error:
             raise ProtocolError(f"bad workload document: {error}")
     kind = entry.get("kind")
     dims = entry.get("dims")
@@ -96,8 +136,8 @@ def _normalize_workload(entry: Any) -> dict:
             "workload needs either an inline document (with 'tensors') or "
             "{'kind': NAME, 'dims': {DIM: SIZE, ...}}")
     from ..cli import build_workload
+    pairs = [f"{d}={size}" for d, size in _check_dims(dims).items()]
     try:
-        pairs = [f"{d}={int(v)}" for d, v in dims.items()]
         return workload_to_dict(build_workload(kind, pairs))
     except SystemExit as error:
         raise ProtocolError(str(error))
@@ -140,7 +180,7 @@ def _normalize_arch(entry: Any, tech: str | None = None) -> dict:
     if isinstance(entry, dict):
         try:
             arch = architecture_from_dict(entry)
-        except (KeyError, TypeError, ValueError) as error:
+        except _MALFORMED as error:
             raise ProtocolError(f"bad architecture document: {error}")
         if tech is not None and tech != arch.tech:
             if not any(lvl.component is not None for lvl in arch.levels):
@@ -166,9 +206,9 @@ def _normalize_sparsity(entry: Any, workload_doc: dict) -> dict | None:
         raise ProtocolError("sparsity must be an object of CLI assignment "
                             "lists: {'density': [...], 'format': [...], "
                             "'saf': [...]}")
-    density = list(entry.get("density") or [])
-    fmt = list(entry.get("format") or [])
-    saf = list(entry.get("saf") or [])
+    density = _json_strings(entry.get("density"), "sparsity.density")
+    fmt = _json_strings(entry.get("format"), "sparsity.format")
+    saf = _json_strings(entry.get("saf"), "sparsity.saf")
     if not (density or fmt or saf):
         return None
     names = [t["name"] for t in workload_doc["tensors"]]
@@ -192,7 +232,7 @@ def build_sparsity_spec(job_or_task: dict):
                          tensor_names=names)
 
 
-_OPTION_DEFAULTS = {"bound": True, "cache_size": None}
+_OPTION_DEFAULTS = {"cache_size": None}
 
 
 def _normalize_options(entry: Any) -> dict:
@@ -206,10 +246,8 @@ def _normalize_options(entry: Any) -> dict:
             raise ProtocolError(f"unknown option {key!r}; choose from "
                                 f"{sorted(_OPTION_DEFAULTS)}")
         options[key] = value
-    options["bound"] = bool(options["bound"])
     if options["cache_size"] is not None:
-        options["cache_size"] = int(options["cache_size"])
-        if options["cache_size"] < 0:
+        if _json_int(options["cache_size"], "options.cache_size") < 0:
             raise ProtocolError("cache_size must be >= 0 (0 = unbounded)")
     return options
 
@@ -256,11 +294,7 @@ def normalize_job(spec: dict) -> dict:
     job["workload"] = workload
     job["sparsity"] = _normalize_sparsity(spec.get("sparsity"), workload)
     if kind == "schedule":
-        shards = spec.get("shards", 1)
-        try:
-            shards = int(shards)
-        except (TypeError, ValueError):
-            raise ProtocolError(f"shards must be an integer, got {shards!r}")
+        shards = _json_int(spec.get("shards", 1), "shards")
         if not 1 <= shards <= MAX_SHARDS:
             raise ProtocolError(f"shards must be in [1, {MAX_SHARDS}]")
         job["shards"] = shards
@@ -269,9 +303,7 @@ def normalize_job(spec: dict) -> dict:
         if isinstance(mappers, str):
             mappers = [m.strip() for m in mappers.split(",") if m.strip()]
         if mappers is not None:
-            if not isinstance(mappers, list):
-                raise ProtocolError("mappers must be a list or a "
-                                    "comma-separated string")
+            mappers = _json_strings(mappers, "mappers")
             known = {name.split("-")[0] for name in MAPPER_ORDER}
             for m in mappers:
                 if m.split("-")[0] not in known:

@@ -65,12 +65,10 @@ def _seeded_engine(task: dict, options: SchedulerOptions,
 def _scheduler_options(task: dict) -> SchedulerOptions:
     opts = task["options"]
     shard = task.get("shard")
+    # Keys of since-retired options (old journals' job docs may carry
+    # them) are ignored.
     return SchedulerOptions(objective=task["objective"],
                             sparsity=build_sparsity_spec(task),
-                            # .get: journals written before the option
-                            # existed resume with the default (on).  Keys
-                            # of since-removed options are ignored.
-                            bound=bool(opts.get("bound", True)),
                             cache_size=opts["cache_size"],
                             shard=tuple(shard) if shard else None)
 

@@ -7,20 +7,24 @@ Two properties pin ``repro.mapspace.bounds``:
   never exceeds the minimum over the region's members.  A sound bound
   combined with the strict ``bound > incumbent`` prune rule can never
   discard the true winner.
-* **Exactness in use** — every bound-aware mapper returns the same best
-  mapping and bit-identical cost with bounds on and off, across sweep
-  directions, fresh and shared engines, shards and sparsity specs; the
-  bound-free mappers (timeloop/gamma/cosa) are untouched.
+* **Exactness in use** — the exhaustive walker, the one searcher that
+  prunes regions, returns the same best mapping and bit-identical cost
+  with bounds on and off, across shards and sparsity specs.  The
+  Sunstone-sweep mappers (Sunstone, dMazeRunner-like,
+  Interstellar-like) test no bounds: they evaluate every candidate and
+  ask the model once per search phase for the whole-space floor of
+  their certificate, identically on fresh and shared engines.  The
+  bound-free mappers (timeloop/gamma/cosa) carry no certificate.
 
 Plus the user-facing surface: the per-search optimality certificate on
-``repro schedule`` output and in ``--stats-json``.
+``repro schedule`` output and in ``--stats-json``, and the retired
+``--no-bound`` flag.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -30,6 +34,7 @@ from repro.baselines.exhaustive import exhaustive_search
 from repro.baselines.gamma import GammaConfig, gamma_search
 from repro.baselines.interstellar import interstellar_search
 from repro.baselines import TIMELOOP_FAST, timeloop_search
+from repro.baselines.common import certificate_from_bound
 from repro.cli import main
 from repro.core.scheduler import SchedulerOptions, SunstoneScheduler
 from repro.mapspace import full_mapping_space
@@ -134,21 +139,22 @@ def test_unassigned_region_bounds_the_whole_space():
 
 
 # ---------------------------------------------------------------------------
-# exactness: identical winners with bounds on and off
+# the Sunstone-sweep mappers: certified, and a warm cache changes nothing
 # ---------------------------------------------------------------------------
 
-def _same_schedule(on, off):
-    assert on.found == off.found
-    if on.found:
-        assert (mapping_fingerprint(on.mapping)
-                == mapping_fingerprint(off.mapping))
-        assert on.cost.edp == off.cost.edp
-        assert on.cost.energy_pj == off.cost.energy_pj
+def _same_schedule(a, b):
+    """Same verdict, mapping, cost and evaluation count."""
+    assert a.found == b.found
+    if a.found:
+        assert (mapping_fingerprint(a.mapping)
+                == mapping_fingerprint(b.mapping))
+        assert a.cost.edp == b.cost.edp
+        assert a.cost.energy_pj == b.cost.energy_pj
+    assert a.stats.evaluations == b.stats.evaluations
 
 
 def _same_winner(a, b):
-    """Same verdict, mapping and cost (evaluation counts are allowed
-    to differ — that is the entire point of the bounds)."""
+    """Same verdict, mapping and cost."""
     assert (a.mapping is None) == (b.mapping is None)
     if a.mapping is not None:
         assert (mapping_fingerprint(a.mapping)
@@ -157,56 +163,75 @@ def _same_winner(a, b):
         assert a.cost.energy_pj == b.cost.energy_pj
 
 
+def _assert_certified(certificate, value):
+    """The certificate brackets the winner's ``value`` from below."""
+    assert certificate is not None
+    assert certificate["lower_bound"] <= certificate["best_value"] == value
+    assert certificate["gap_pct"] >= 0.0
+
+
 @pytest.mark.parametrize("searches", [1, 2])
 @pytest.mark.parametrize("direction", ["bottom-up", "top-down"])
 @pytest.mark.parametrize("sparse_key", ["dense", "csr-skipping"])
 def test_sunstone_bit_identical_with_bounds(direction, sparse_key,
                                             searches):
+    """The ``searches``-th search on one shared engine returns what a
+    cold search returns, certificate included."""
     workload = harness.tiny_mttkrp()
     arch = harness.small_arch()
     sparsity = SPARSE_SPECS[sparse_key]
-    base = SchedulerOptions(direction=direction, sparsity=sparsity)
-
-    def search(bound):
-        return harness.nth_search(
-            searches,
-            lambda engine: SunstoneScheduler(
-                workload, arch, replace(base, bound=bound),
-                engine=engine).schedule(),
-            sparsity=sparsity)
-
-    on = search(True)
-    off = search(False)
-    _same_schedule(on, off)
-    assert off.stats.prune.bound.candidates_skipped == 0
-
-
-def test_sunstone_bound_prunes_and_stays_identical_on_conv():
-    layer = harness.resnet_conv_layer()
-    arch = harness.resnet_conv_arch()
-    on = SunstoneScheduler(layer, arch,
-                           SchedulerOptions(bound=True)).schedule()
-    off = SunstoneScheduler(layer, arch,
-                            SchedulerOptions(bound=False)).schedule()
-    _same_schedule(on, off)
-    assert on.stats.prune.bound.candidates_skipped > 0
+    options = SchedulerOptions(direction=direction, sparsity=sparsity)
+    cold = SunstoneScheduler(workload, arch, options).schedule()
+    warm = harness.nth_search(
+        searches,
+        lambda engine: SunstoneScheduler(workload, arch, options,
+                                         engine=engine).schedule(),
+        sparsity=sparsity)
+    _same_schedule(warm, cold)
+    certificate = certificate_from_bound(warm.stats.prune.bound)
+    assert certificate == certificate_from_bound(cold.stats.prune.bound)
+    _assert_certified(certificate, warm.cost.edp)
 
 
 def test_sunstone_bound_prunes_medium_mttkrp():
     workload = harness.medium_mttkrp()
     arch = harness.medium_arch()
-    on = SunstoneScheduler(workload, arch,
-                           SchedulerOptions(bound=True)).schedule()
-    off = SunstoneScheduler(workload, arch,
-                            SchedulerOptions(bound=False)).schedule()
-    _same_schedule(on, off)
-    bnd = on.stats.prune.bound
-    assert bnd.candidates_skipped > 0
-    assert on.stats.evaluations < off.stats.evaluations
+    result = SunstoneScheduler(workload, arch).schedule()
+    bnd = result.stats.prune.bound
     # The certificate brackets the winner from below.
     assert bnd.lower_bound is not None
-    assert bnd.lower_bound <= bnd.best_value == on.cost.edp
+    assert bnd.lower_bound <= bnd.best_value == result.cost.edp
     assert bnd.gap_pct() is not None and bnd.gap_pct() >= 0.0
+
+
+@pytest.mark.parametrize("case", ["mttkrp-one-phase", "conv1d-two-phases"])
+def test_sunstone_bounds_once_per_phase(monkeypatch, case):
+    """Sunstone tests no point or region bounds while it searches: the
+    model is asked once per search phase, for the certificate's
+    whole-space floor."""
+    if case == "mttkrp-one-phase":
+        workload, arch = harness.medium_mttkrp(), harness.medium_arch()
+    else:
+        # Prime extents leave lanes idle, so the search escalates once.
+        workload, arch = conv1d(K=5, C=3, P=7, R=3), harness.small_arch()
+    counts = {"region_bound": 0, "phases": 0}
+    region_bound = BoundModel.region_bound
+    schedule_once = SunstoneScheduler._schedule_once
+
+    def counted_bound(self, region):
+        counts["region_bound"] += 1
+        return region_bound(self, region)
+
+    def counted_phase(self, *args, **kwargs):
+        counts["phases"] += 1
+        return schedule_once(self, *args, **kwargs)
+
+    monkeypatch.setattr(BoundModel, "region_bound", counted_bound)
+    monkeypatch.setattr(SunstoneScheduler, "_schedule_once", counted_phase)
+    result = SunstoneScheduler(workload, arch).schedule()
+    assert result.found
+    assert counts["phases"] == (1 if case == "mttkrp-one-phase" else 2)
+    assert counts["region_bound"] == counts["phases"]
 
 
 @pytest.mark.parametrize("shard", [None, (0, 2), (1, 2)])
@@ -284,35 +309,28 @@ def test_exhaustive_bounds_each_tested_region_once(monkeypatch, scalar):
 def test_dmazerunner_bit_identical_with_bounds(searches):
     workload = harness.medium_mttkrp()
     arch = harness.medium_arch()
-
-    def search(bound):
-        return harness.nth_search(
-            searches,
-            lambda engine: dmazerunner_search(workload, arch, engine=engine,
-                                              bound=bound))
-
-    on = search(True)
-    off = search(False)
-    _same_winner(on, off)
-    assert on.certificate is not None and "gap_pct" in on.certificate
-    assert off.certificate is None
+    cold = dmazerunner_search(workload, arch)
+    warm = harness.nth_search(
+        searches,
+        lambda engine: dmazerunner_search(workload, arch, engine=engine))
+    _same_winner(warm, cold)
+    assert warm.evaluations == cold.evaluations
+    assert warm.certificate == cold.certificate
+    _assert_certified(warm.certificate, warm.cost.edp)
 
 
 @pytest.mark.parametrize("searches", [1, 2])
 def test_interstellar_bit_identical_with_bounds(searches):
     workload = harness.medium_mttkrp()
     arch = harness.medium_arch()
-
-    def search(bound):
-        return harness.nth_search(
-            searches,
-            lambda engine: interstellar_search(workload, arch, engine=engine,
-                                               bound=bound))
-
-    on = search(True)
-    off = search(False)
-    _same_winner(on, off)
-    assert on.certificate is not None
+    cold = interstellar_search(workload, arch)
+    warm = harness.nth_search(
+        searches,
+        lambda engine: interstellar_search(workload, arch, engine=engine))
+    _same_winner(warm, cold)
+    assert warm.evaluations == cold.evaluations
+    assert warm.certificate == cold.certificate
+    _assert_certified(warm.certificate, warm.cost.edp)
 
 
 def test_bound_free_mappers_have_no_certificate():
@@ -350,27 +368,25 @@ def test_schedule_cli_prints_certificate(capsys, tmp_path):
     assert doc["search"]["bound"]["candidates_skipped"] >= 0
 
 
+def _assert_no_bound_rejected(capsys, argv):
+    """``--no-bound`` is retired: argparse rejects it (exit 2) before
+    anything runs."""
+    with pytest.raises(SystemExit) as caught:
+        main(argv + ["--no-bound"])
+    assert caught.value.code == 2
+    assert "--no-bound" in capsys.readouterr().err
+
+
 def test_schedule_cli_no_bound_flag(capsys):
-    code = main([
+    _assert_no_bound_rejected(capsys, [
         "schedule", "--workload", "mttkrp", "--arch", "tiny",
-        "--no-bound", "I=8", "K=8", "L=4", "J=8",
-    ])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "certificate:" not in out
+        "I=8", "K=8", "L=4", "J=8"])
 
 
-def test_schedule_cli_no_bound_same_mapping(capsys, tmp_path):
-    """The escape hatch changes evaluation counts, never the answer."""
-    docs = []
-    for flags in ([], ["--no-bound"]):
-        stats = str(tmp_path / f"s{len(docs)}.json")
-        code = main(["schedule", "--workload", "mttkrp", "--arch", "tiny",
-                     "--stats-json", stats, "I=8", "K=8", "L=4", "J=8"]
-                    + flags)
-        assert code == 0
-        capsys.readouterr()
-        with open(stats) as handle:
-            docs.append(json.load(handle))
-    assert docs[0]["mapping"] == docs[1]["mapping"]
-    assert docs[0]["cost"] == docs[1]["cost"]
+@pytest.mark.parametrize("argv", [
+    ["compare", "--workload", "mttkrp", "I=8", "K=8", "L=4", "J=8"],
+    ["network", "configs/resnet18.json"],
+    ["submit", "--workload", "mttkrp", "I=8", "K=8", "L=4", "J=8"],
+], ids=["compare", "network", "submit"])
+def test_retired_no_bound_flag_is_rejected(capsys, argv):
+    _assert_no_bound_rejected(capsys, argv)

@@ -213,6 +213,33 @@ def test_resume_of_complete_journal_skips_the_search(tmp_path):
     assert result.stats.search.evaluations <= 4
 
 
+def test_resume_ignores_retired_bound_counters(tmp_path):
+    """Journals written while the sweep still counted point bounds carry
+    a ``bound`` triple in every level entry; a resume ignores it and
+    converges to the uninterrupted run, certificate included."""
+    from repro.search.checkpoint import _encode_line
+
+    base = schedule(WORKLOAD, ARCH)
+    path = str(tmp_path / "old.jsonl")
+    journal = CheckpointJournal(path, META, kill_after=1,
+                                kill_mode="interrupt")
+    with pytest.raises(KeyboardInterrupt):
+        schedule(WORKLOAD, ARCH, journal=journal)
+    entries = read_journal_entries(path)
+    levels = [e for e in entries if e.get("type") == "level"]
+    assert levels
+    for entry in levels:
+        entry["bound"] = [7, 3, 3]
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.writelines(_encode_line(e) for e in entries)
+    result = schedule(WORKLOAD, ARCH,
+                      journal=CheckpointJournal(path, META, resume=True))
+    assert mapping_to_dict(result.mapping) == mapping_to_dict(base.mapping)
+    assert _cost_tuple(result) == _cost_tuple(base)
+    assert result.stats.evaluations == base.stats.evaluations
+    assert result.stats.prune.bound == base.stats.prune.bound
+
+
 def test_resume_respects_sharded_and_sparse_meta(tmp_path):
     """The meta fingerprint is the guard against resuming the wrong
     search: any field difference refuses the journal."""

@@ -53,6 +53,22 @@ class TestBasics:
         assert not result.found
 
 
+class TestPolish:
+    def test_polish_skips_only_rejected_mappings(self, monkeypatch,
+                                                 small_conv, small_arch):
+        """The polish drops a trial only when ``build_mapping`` rejects it
+        (a ``MappingError``); any other exception is a bug and must
+        surface instead of silently shrinking the neighbourhood."""
+        import repro.core.scheduler as scheduler_module
+
+        def broken(*args, **kwargs):
+            raise KeyError("trial")
+
+        monkeypatch.setattr(scheduler_module, "build_mapping", broken)
+        with pytest.raises(KeyError, match="trial"):
+            schedule(small_conv, small_arch)
+
+
 class TestOptionsValidation:
     def test_bad_objective(self):
         with pytest.raises(ValueError):

@@ -23,7 +23,10 @@ from concurrent.futures import Future
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.arch import tiny
 from repro.cli import (
     _cost_dict,
     build_architecture,
@@ -34,7 +37,11 @@ from repro.cli import (
 )
 from repro.core import SchedulerOptions, schedule
 from repro.core.network import schedule_network
-from repro.mapping.serialize import mapping_to_dict, workload_to_dict
+from repro.mapping.serialize import (
+    architecture_to_dict,
+    mapping_to_dict,
+    workload_to_dict,
+)
 from repro.search import CheckpointJournal, read_journal_entries
 from repro.serve import (
     FleetBackend,
@@ -118,6 +125,86 @@ def run_jobs(specs, **config_kwargs):
 # protocol: normalisation, decomposition, merging
 # ---------------------------------------------------------------------------
 
+TINY_DOC = architecture_to_dict(tiny())
+CONV_DOC = workload_to_dict(build_workload("conv1d",
+                                           ["K=4", "C=4", "P=14", "R=3"]))
+
+
+def _with_leaf(doc, path, value):
+    """A deep copy of ``doc`` with the leaf at ``path`` set to ``value``."""
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+def _leaf_paths(doc, path=()):
+    """Every key/index path into ``doc`` (containers included)."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        items = ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _leaf_paths(value, path + (key,))
+
+
+# Valid specs covering every field normalisation reads.
+VALID_SPECS = [
+    schedule_spec(shards=2, options={"cache_size": 100},
+                  sparsity={"density": ["ifmap=0.5"],
+                            "format": ["ifmap=csr"],
+                            "saf": ["ifmap=skipping"]}),
+    {"kind": "schedule", "workload": CONV_DOC, "arch": TINY_DOC,
+     "objective": "energy"},
+    {"kind": "compare", "workload": SMALL_FC, "arch": "tiny",
+     "mappers": ["timeloop", "gamma"]},
+    {"kind": "network", "arch": "tiny", "tech": "cmos7",
+     "layers": [CONV_DOC, SMALL_FC]},
+]
+MUTATIONS = [None, True, False, 0, 1, -1, 2.5, 5, "x", "", [], [1], [None],
+             {}, {"a": 1}]
+ONE_LEAF_MUTATIONS = [(spec, path) for spec in VALID_SPECS
+                      for path in _leaf_paths(spec)]
+
+# One malformed field each: (spec, the field the 400 must name).
+HOSTILE_SPECS = {
+    "cache_size-str": (schedule_spec(options={"cache_size": "x"}),
+                       "cache_size"),
+    "cache_size-list": (schedule_spec(options={"cache_size": [1]}),
+                        "cache_size"),
+    "density-int": (schedule_spec(sparsity={"density": 5}),
+                    "sparsity.density"),
+    "format-bool": (schedule_spec(sparsity={"format": True}),
+                    "sparsity.format"),
+    "saf-null-entry": (schedule_spec(sparsity={"saf": [None]}),
+                       "sparsity.saf"),
+    "density-int-entry": (schedule_spec(sparsity={"density": [5]}),
+                          "sparsity.density"),
+    "mapper-int": ({"kind": "compare", "workload": SMALL_CONV,
+                    "mappers": [1]}, "mappers"),
+    "mapper-null": ({"kind": "compare", "workload": SMALL_CONV,
+                     "mappers": ["gamma", None]}, "mappers"),
+    "arch-level-null": (schedule_spec(arch=_with_leaf(TINY_DOC,
+                                                      ("levels", 0), None)),
+                        "architecture"),
+    "ref-dim-float": (schedule_spec(workload=_with_leaf(
+        SMALL_CONV, ("dims", "P"), 4.5)), "workload dim 'P'"),
+    "ref-dim-bool": (schedule_spec(workload=_with_leaf(
+        SMALL_CONV, ("dims", "R"), True)), "workload dim 'R'"),
+    "inline-dim-float": (schedule_spec(workload=_with_leaf(
+        CONV_DOC, ("dims", "K"), 2.5)), "workload dim 'K'"),
+    "inline-dim-bool": (schedule_spec(workload=_with_leaf(
+        CONV_DOC, ("dims", "C"), True)), "workload dim 'C'"),
+    "shards-float": (schedule_spec(shards=2.5), "shards"),
+    "shards-bool": (schedule_spec(shards=True), "shards"),
+}
+
+
 class TestProtocol:
     def test_rejects_bad_specs(self):
         with pytest.raises(ProtocolError, match="kind"):
@@ -135,6 +222,34 @@ class TestProtocol:
             normalize_job({"kind": "network", "layers": []})
         with pytest.raises(ProtocolError, match="objective"):
             normalize_job(schedule_spec(objective="latency"))
+
+    @pytest.mark.parametrize("case", sorted(HOSTILE_SPECS))
+    def test_malformed_field_is_a_protocol_error(self, case):
+        """A dim size, shard count or cache size must be a JSON integer
+        (never a bool, never truncated), a sparsity assignment or mapper
+        name a string, and any other malformed field a ProtocolError
+        naming it — never another exception (a 500) or a coerced job."""
+        spec, field = HOSTILE_SPECS[case]
+        with pytest.raises(ProtocolError, match=field):
+            normalize_job(spec)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.sampled_from(ONE_LEAF_MUTATIONS), st.sampled_from(MUTATIONS))
+    def test_one_leaf_mutations_normalise_or_answer_400(self, target,
+                                                        value):
+        spec, path = target
+        mutated = _with_leaf(spec, path, value)
+        try:
+            job = normalize_job(mutated)
+        except ProtocolError:
+            return
+        sent = ([mutated["workload"]] if "workload" in mutated
+                else mutated["layers"])
+        got = [job["workload"]] if "workload" in job else job["layers"]
+        for sent_doc, doc in zip(sent, got):
+            for dim, size in sent_doc["dims"].items():
+                assert type(size) is int
+                assert doc["dims"][dim] == size
 
     def test_tech_field_resolves_and_keys_the_fingerprint(self):
         base = normalize_job(schedule_spec())
@@ -762,11 +877,22 @@ class TestHttp:
     def test_retired_batch_options_answer_400(self):
         def drive(client):
             from repro.serve import ServeError
-            for option in ("batch", "batch_gen"):
+            for option in ("batch", "batch_gen", "bound"):
                 with pytest.raises(ServeError,
                                    match="unknown option") as caught:
                     client.submit(schedule_spec(options={option: False}))
                 assert caught.value.status == 400
+            return True
+
+        assert http_session(drive)
+
+    def test_malformed_spec_answers_400_and_daemon_stays_up(self):
+        def drive(client):
+            from repro.serve import ServeError
+            with pytest.raises(ServeError, match="cache_size") as caught:
+                client.submit(schedule_spec(options={"cache_size": "abc"}))
+            assert caught.value.status == 400
+            assert client.healthz()["ok"] is True
             return True
 
         assert http_session(drive)

@@ -2,8 +2,8 @@
 
 The central contract is *bit-identity under the default pack*: resolving
 any preset through the ``cmos45`` pack reproduces the historical
-hand-pinned energies exactly, so every golden outcome is unchanged —
-with batch generation on or off, and with bound pruning on or off.  On
+hand-pinned energies exactly, so every golden outcome is unchanged — on
+the vectorised and on the scalar (no-numpy) paths.  On
 top of that: packs are selectable and actually change energies, pack
 identity flows into eval-cache keys (two packs never share entries),
 resolved SRAM energies are monotone in capacity, lookup errors carry
@@ -76,13 +76,10 @@ def test_default_pack_is_the_presets_default(preset):
 @pytest.mark.parametrize("options,scalar", [
     (SchedulerOptions(), False),
     (SchedulerOptions(), True),
-    (SchedulerOptions(bound=False), False),
-    (SchedulerOptions(bound=False), True),
-], ids=["default", "no-batch-gen", "no-bound", "scalar-no-bound"])
+], ids=["default", "no-batch-gen"])
 def test_default_pack_matches_goldens(options, scalar):
-    """Pack resolution must not move any golden outcome, under the
-    behaviour-preserving bound toggle, on the vectorised and the scalar
-    (no-numpy) paths."""
+    """Pack resolution must not move any golden outcome, on the
+    vectorised and the scalar (no-numpy) paths."""
     golden = json.loads(
         (harness.GOLDEN_DIR / "sunstone_small_conv.json").read_text())
     with harness.scalar_paths() if scalar else contextlib.nullcontext():
@@ -98,8 +95,7 @@ def test_default_pack_golden_conventional_all_toggles():
     golden = json.loads(
         (harness.GOLDEN_DIR / "sunstone_mttkrp.json").read_text())
     for options, scalar in ((SchedulerOptions(), False),
-                            (SchedulerOptions(), True),
-                            (SchedulerOptions(bound=False), False)):
+                            (SchedulerOptions(), True)):
         with harness.scalar_paths() if scalar else contextlib.nullcontext():
             result = SunstoneScheduler(
                 harness.medium_mttkrp(), harness.medium_arch(),
@@ -265,8 +261,8 @@ def test_two_chiplet_schedules_with_chip2chip_energy():
     assert result.cost.chip2chip_energy > 0
     # chip2chip is a tracked subset of the NoC total, never extra energy.
     assert result.cost.chip2chip_energy <= result.cost.noc_energy
-    cert = result.stats.prune.bound
-    assert cert is not None  # bound pruning ran and certified the result
+    # The result carries its optimality certificate.
+    assert result.stats.prune.bound.lower_bound is not None
 
 
 def test_two_chiplet_scalar_batch_equivalence():
