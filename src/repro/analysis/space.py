@@ -9,17 +9,18 @@ what these estimators reproduce — is the *ordering*:
 
 Counting model
 --------------
-Every count is the ``size()`` of a declarative :mod:`repro.mapspace`
-object, so Table I reports exactly the spaces the mappers enumerate:
+Every count is a closed form or the length of a list the mappers
+themselves build:
 
-* A **tiling** choice is a :class:`~repro.mapspace.FactorLattice` per
-  dimension — ordered factorisations over the temporal slots the tool
-  considers (``prod_over_primes C(e_p + s - 1, s - 1)``, closed form).
-* An **ordering** choice is a :class:`~repro.mapspace.PermutationSpace`
-  (unpruned tools) or :class:`~repro.mapspace.OrderSpace` (the pruned
-  order-trie candidates) per level.
-* An **unrolling** choice is a :class:`~repro.mapspace.DivisorSpace` of
-  the allowed dimensions per fanout boundary (bounded by the fanout).
+* A **tiling** choice is a factor lattice per dimension — ordered
+  factorisations over the temporal slots the tool considers
+  (:func:`~repro.mapspace.ordered_factorizations`,
+  ``prod_over_primes C(e_p + s - 1, s - 1)``).
+* An **ordering** choice is one of the ``n!`` permutations (unpruned
+  tools) or one of the pruned order-trie candidates
+  (:func:`~repro.core.order_trie.enumerate_orderings`) per level.
+* An **unrolling** choice is a divisor of each allowed dimension per
+  fanout boundary, bounded by the fanout.
 
 Sunstone's entry is *measured*, not estimated: the scheduler counts every
 candidate it actually evaluates.
@@ -31,12 +32,9 @@ import math
 from dataclasses import dataclass
 
 from ..arch.spec import Architecture
-from ..mapspace.factor import (
-    DivisorSpace,
-    FactorLattice,
-    ordered_factorizations,
-)
-from ..mapspace.order import OrderSpace, PermutationSpace
+from ..core.order_trie import enumerate_orderings
+from ..core.tiling_tree import divisors
+from ..mapspace.factor import ordered_factorizations
 from ..workloads.expression import Workload
 
 __all__ = [
@@ -57,9 +55,7 @@ def _tiling_space(workload: Workload, slots: int,
     dims = dims if dims is not None else workload.dim_names
     space = 1
     for d in dims:
-        lattice = FactorLattice(d, workload.dims[d],
-                                [("t", s) for s in range(slots)])
-        space *= lattice.size()
+        space *= ordered_factorizations(workload.dims[d], slots)
     return space
 
 
@@ -74,14 +70,14 @@ def _unroll_space(workload: Workload, arch: Architecture,
             continue
         boundary = 1
         for d in dims:
-            boundary *= DivisorSpace(workload.dims[d],
-                                     bound=level.fanout).size()
+            boundary *= sum(1 for f in divisors(workload.dims[d])
+                            if f <= level.fanout)
         space *= boundary
     return space
 
 
 def _ordering_space(workload: Workload, levels: int) -> int:
-    return PermutationSpace(workload.dim_names).size() ** levels
+    return math.factorial(len(workload.dim_names)) ** levels
 
 
 @dataclass(frozen=True)
@@ -136,7 +132,7 @@ def interstellar_space(workload: Workload, arch: Architecture
     return SpaceEstimate(
         tool="interstellar",
         tiling=_tiling_space(workload, bounded + 1),
-        ordering=OrderSpace(workload).size(),
+        ordering=len(enumerate_orderings(workload)),
         unrolling=_unroll_space(workload, arch, ck or None),
         notes="CK-preset unrolling, heuristic orders",
     )
@@ -159,7 +155,7 @@ def dmazerunner_space(workload: Workload, arch: Architecture,
     return SpaceEstimate(
         tool="dmazerunner",
         tiling=max(1, _tiling_space(workload, bounded + 1) // reduction),
-        ordering=OrderSpace(workload).size(),
+        ordering=len(enumerate_orderings(workload)),
         unrolling=_unroll_space(
             workload, arch, tuple(sorted(output_dims)) or None,
         ),

@@ -1,6 +1,6 @@
 """Reimplementations of the mappers Sunstone is compared against (§V-B)."""
 
-from .common import SearchResult, prime_factors, random_factor_split
+from .common import SearchResult, prime_factors
 from .cosa import CosaConfig, cosa_search
 from .dmazerunner import DMAZE_FAST, DMAZE_SLOW, DMazeConfig, dmazerunner_search
 from .exhaustive import SearchBudgetExceeded, exhaustive_search
@@ -19,7 +19,6 @@ from .random_search import (
 __all__ = [
     "SearchResult",
     "prime_factors",
-    "random_factor_split",
     "TimeloopConfig",
     "TIMELOOP_FAST",
     "TIMELOOP_SLOW",

@@ -2,21 +2,16 @@
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
-from ..arch.spec import Architecture
 from ..mapspace.factor import prime_factors
-from ..mapspace.mapspace import spatial_boundaries
 from ..search import MappingOutcome, SearchStats, resolve_engine
 
 __all__ = [
     "SearchResult",
     "certificate_from_bound",
     "prime_factors",
-    "random_factor_split",
     "resolve_engine",
-    "spatial_slots",
 ]
 
 
@@ -55,22 +50,3 @@ def certificate_from_bound(bound_stats) -> dict | None:
     if gap is not None:
         cert["gap_pct"] = gap
     return cert
-
-
-def random_factor_split(
-    size: int,
-    slots: int,
-    rng: random.Random,
-) -> list[int]:
-    """Randomly distribute the prime factors of ``size`` over ``slots``."""
-    split = [1] * slots
-    for p in prime_factors(size):
-        split[rng.randrange(slots)] *= p
-    return split
-
-
-def spatial_slots(arch: Architecture) -> list[int]:
-    """Level indices that have a usable fanout boundary."""
-    return spatial_boundaries(arch)
-
-

@@ -29,10 +29,11 @@ from ..arch.spec import Architecture
 from ..mapping.mapping import build_mapping
 from ..mapping.placement import placement_table
 from ..mapspace.factor import prime_factors
+from ..mapspace.mapspace import spatial_boundaries
 from ..search import SearchEngine
 from ..sparse.spec import SparsitySpec
 from ..workloads.expression import Workload
-from .common import SearchResult, resolve_engine, spatial_slots
+from .common import SearchResult, resolve_engine
 
 
 @dataclass(frozen=True)
@@ -83,7 +84,7 @@ def cosa_search(
     """
     start = time.perf_counter()
     num = arch.num_levels
-    boundaries = spatial_slots(arch)
+    boundaries = spatial_boundaries(arch)
     shares = _linear_capacity_shares(workload, arch)
 
     temporal = [dict[str, int]() for _ in range(num)]

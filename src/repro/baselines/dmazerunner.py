@@ -17,19 +17,15 @@ Two documented limitations are reproduced:
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from ..arch.spec import Architecture
-from ..core.order_trie import enumerate_orderings
 from ..core.scheduler import SchedulerStats, SunstoneScheduler, _State
-from ..mapspace.constraints import utilization_band, utilization_floor
-from ..mapspace.spaces import DependentSpace, ListSpace, Space
-from ..mapspace.tile import DivisorGridSpace
-from ..mapspace.unroll import UnrollSpace
-from ..mapping.mapping import Mapping
-from ..model.cost import CostResult, evaluate
+from ..core.tiling_tree import divisors
+from ..core.unrolling import enumerate_unrollings, unroll_size
 from ..sparse.spec import SparsitySpec
 from ..workloads.expression import Workload
 from .common import SearchResult, certificate_from_bound
@@ -124,53 +120,50 @@ class _DMazeSearch(SunstoneScheduler):
             unroll_dims = tuple(d for d in self.workload.dim_names
                                 if d in output_dims)
 
-        def count_node(tiling: dict[str, int]) -> dict[str, int]:
-            stats.tiling.nodes_visited += 1
-            return tiling
+        def admitted_tilings() -> Iterator[dict[str, int]]:
+            """The raw divisor grid in row-major order, every tile
+            counted, kept inside the buffer-utilisation band; the grid
+            is not pulled past the ``max_tilings_per_state``-th admitted
+            tile, so node accounting matches the historical break."""
+            dims = [d for d in self.workload.dim_names
+                    if remaining.get(d, 1) > 1]
+            admitted = 0
+            for combo in itertools.product(*(divisors(remaining[d])
+                                             for d in dims)):
+                if admitted >= self.config.max_tilings_per_state:
+                    return
+                tiling = {d: f for d, f in zip(dims, combo) if f > 1}
+                stats.tiling.nodes_visited += 1
+                sizes = {
+                    d: base.get(d, 1) * tiling.get(d, 1)
+                    for d in self.workload.dims
+                }
+                if threshold <= self._utilization(level, sizes) <= 1.0:
+                    admitted += 1
+                    yield tiling
 
-        def buffer_fill(tiling: dict[str, int]) -> float:
-            sizes = {
-                d: base.get(d, 1) * tiling.get(d, 1)
-                for d in self.workload.dims
-            }
-            return self._utilization(level, sizes)
-
-        # The raw divisor grid, counted, filtered by the buffer-utilisation
-        # band, and capped: the head() quota never pulls past the last
-        # admitted tile, so node accounting matches the historical break.
-        tilings = (
-            DivisorGridSpace(remaining, self.workload.dim_names)
-            .map(count_node)
-            .filter(utilization_band(threshold, 1.0, buffer_fill),
-                    "buffer-utilization", stats.prune)
-            .head(self.config.max_tilings_per_state)
-        )
-
-        def unrolls_for(tiling: dict[str, int]) -> Space:
+        def unrolls_for(tiling: dict[str, int]) -> list[dict[str, int]]:
             rem_after = {
                 d: remaining[d] // tiling.get(d, 1) for d in remaining
             }
-            return UnrollSpace(
+            unrolls = enumerate_unrollings(
                 self.workload, fanout, rem_after, unroll_dims,
+                stats=stats.unrolling,
                 utilization_threshold=self.config.pe_utilization,
                 max_unrolled_dims=2,
-                stats=stats.unrolling,
-            ).filter(utilization_floor(fanout, self.config.pe_utilization),
-                     "pe-utilization", stats.prune)
+            )
+            # The PE-utilisation floor (vacuous without a fanout).
+            floor = self.config.pe_utilization * fanout
+            return [u for u in unrolls
+                    if fanout <= 1 or unroll_size(u) >= floor]
 
-        decisions = DependentSpace(
-            tilings,
-            lambda tiling: DependentSpace(
-                unrolls_for(tiling),
-                lambda unroll: ListSpace(list(orderings)),
-            ),
-            combine=lambda tiling, pair: (pair[1], tiling, pair[0]),
+        decisions = (
+            (order, tiling, unroll)
+            for tiling in admitted_tilings()
+            for unroll in unrolls_for(tiling)
+            for order in orderings
         )
-        children = decisions.map(
-            lambda triple: self._extend_bottom_up(
-                state, level, triple[0].order, triple[1], triple[2]),
-        ).filter(lambda child: child is not None, "capacity", stats.prune)
-        return children.enumerate(shard=self.options.shard)
+        return self._fitting_children(state, level, decisions)
 
 
 def dmazerunner_search(
@@ -232,5 +225,5 @@ def dmazerunner_search(
         evaluations=result.stats.evaluations,
         wall_time_s=elapsed,
         search_stats=result.stats.search,
-        certificate=certificate_from_bound(result.stats.prune.bound),
+        certificate=certificate_from_bound(result.stats.bound),
     )

@@ -1,12 +1,12 @@
 """Exhaustive oracle mapper for small problems.
 
-Enumerates *every* mapping — the composed
+Enumerates *every* mapping — the
 :func:`~repro.mapspace.mapspace.full_mapping_space` of all prime-factor
 distributions across temporal and spatial slots and all loop
 permutations per level — and returns the best valid one.  Exponential;
-guarded by an explicit budget (checked analytically via
-``Mapspace.size()`` before anything is enumerated) so tests cannot
-hang.  Used to verify that Sunstone's pruning never rejects all optimal
+guarded by an explicit budget (checked against the closed-form
+:func:`~repro.mapspace.mapspace.full_space_size` before anything is
+enumerated) so tests cannot hang.  Used to verify that Sunstone's pruning never rejects all optimal
 mappings.
 
 With ``bound=True`` (the default) the walk is branch-and-bound: the
@@ -35,6 +35,9 @@ from ..mapspace.mapspace import (
     assemble_mapping,
     assignment_slots,
     full_mapping_space,
+    full_space_lattices,
+    full_space_size,
+    order_permutations,
     stores_from_splits,
 )
 from ..search import SearchEngine
@@ -74,9 +77,7 @@ def exhaustive_search(
     the space exceeds ``max_evaluations``.
     """
     start = time.perf_counter()
-    space = full_mapping_space(workload, arch, orders_per_level)
-
-    size = space.size()
+    size = full_space_size(workload, arch, orders_per_level)
     if size > max_evaluations:
         raise SearchBudgetExceeded(
             f"exhaustive space {size} exceeds budget {max_evaluations}"
@@ -93,7 +94,7 @@ def exhaustive_search(
     eng = resolve_engine(engine, cache, partial_reuse, sparsity, cache_size)
     if bound:
         best, evaluations, certificate = _branch_and_bound(
-            workload, arch, space, objective, eng, shard,
+            workload, arch, orders_per_level, objective, eng, shard,
             partial_reuse, sparsity)
     elif cohorts is not None:
         # Vectorized generation: the space is index-decoded straight
@@ -135,7 +136,8 @@ def exhaustive_search(
                     best = (value, mapping, cost)
             buffer.clear()
 
-        for mapping in space.enumerate(shard=shard):
+        for mapping in full_mapping_space(workload, arch, orders_per_level,
+                                          shard=shard):
             buffer.append(mapping)
             if len(buffer) >= flush_at:
                 flush()
@@ -172,7 +174,7 @@ def exhaustive_search(
 def _branch_and_bound(
     workload: Workload,
     arch: Architecture,
-    space,
+    orders_per_level: int | None,
     objective: str,
     eng: SearchEngine,
     shard: tuple[int, int] | None,
@@ -200,8 +202,9 @@ def _branch_and_bound(
     dims = list(workload.dim_names)
     num = arch.num_levels
     slots = assignment_slots(arch)
-    lattice_items = [space.axes[f"tiling[{d}]"].materialize() for d in dims]
-    order_items = space.axes["ordering"].materialize()
+    lattice_items = [list(lattice.splits())
+                     for lattice in full_space_lattices(workload, arch)]
+    order_items = order_permutations(dims, orders_per_level)
     perms = len(order_items)
     block = perms ** num
     # tail[k]: candidates per fixed split prefix of length k.

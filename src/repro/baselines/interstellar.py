@@ -17,9 +17,8 @@ from typing import Iterator
 
 from ..arch.spec import Architecture
 from ..core.scheduler import SchedulerOptions, SchedulerStats, SunstoneScheduler, _State
-from ..mapspace.spaces import DependentSpace, ListSpace, Space
-from ..mapspace.tile import TileSpace
-from ..mapspace.unroll import UnrollSpace
+from ..core.tiling_tree import enumerate_tilings
+from ..core.unrolling import unroll_candidates
 from ..sparse.spec import SparsitySpec
 from ..workloads.expression import Workload
 from .common import SearchResult, certificate_from_bound
@@ -55,34 +54,30 @@ class _InterstellarSearch(SunstoneScheduler):
             if d in self.workload.dims
         )
 
-        def unrolls_for(tiling: dict[str, int]) -> Space:
+        def unrolls_for(tiling: dict[str, int]) -> list[dict[str, int]]:
             rem_after = {
                 d: remaining[d] // tiling.get(d, 1) for d in remaining
             }
             # Preset CK unrolling with the "replace" fallback: when CK
             # cannot fill the grid, allow the other dimensions.
-            return UnrollSpace(
+            return unroll_candidates(
                 self.workload, fanout, rem_after, preferred,
                 utilization_threshold=1.0,
                 fallback="replace",
                 stats=stats.unrolling,
             )
 
-        decisions = DependentSpace(
-            ListSpace(list(orderings)),
-            # Interstellar tiles over every dimension (no Tiling Principle).
-            lambda order: DependentSpace(
-                TileSpace(self.workload, self.arch, level, base, remaining,
-                          self.workload.dim_names, stats=stats.tiling),
-                unrolls_for,
-            ),
-            combine=lambda order, pair: (order, pair[0], pair[1]),
+        # Interstellar tiles over every dimension (no Tiling Principle),
+        # with a fresh tiling tree per ordering.
+        decisions = (
+            (order, tiling, unroll)
+            for order in orderings
+            for tiling in enumerate_tilings(
+                self.workload, self.arch, level, base, remaining,
+                self.workload.dim_names, stats=stats.tiling)
+            for unroll in unrolls_for(tiling)
         )
-        children = decisions.map(
-            lambda triple: self._extend_bottom_up(
-                state, level, triple[0].order, triple[1], triple[2]),
-        ).filter(lambda child: child is not None, "capacity", stats.prune)
-        return children.enumerate(shard=self.options.shard)
+        return self._fitting_children(state, level, decisions)
 
 
 def interstellar_search(
@@ -132,5 +127,5 @@ def interstellar_search(
         evaluations=result.stats.evaluations,
         wall_time_s=elapsed,
         search_stats=result.stats.search,
-        certificate=certificate_from_bound(result.stats.prune.bound),
+        certificate=certificate_from_bound(result.stats.bound),
     )

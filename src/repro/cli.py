@@ -159,6 +159,11 @@ def build_architecture(name: str, tech: str | None = None) -> Architecture:
                 arch = architecture_from_dict(json.load(handle))
         except OSError as error:
             raise SystemExit(f"cannot read architecture config: {error}")
+        except KeyError as error:
+            raise SystemExit(f"bad architecture config {name!r}: "
+                             f"missing field {error}")
+        except (AttributeError, TypeError, ValueError) as error:
+            raise SystemExit(f"bad architecture config {name!r}: {error}")
         if pack is not None and pack.name != arch.tech:
             if not any(lvl.component is not None for lvl in arch.levels):
                 raise SystemExit(
@@ -296,7 +301,7 @@ def cmd_schedule(args: argparse.Namespace) -> int:
     print(f"candidates evaluated: {result.stats.evaluations} in "
           f"{result.stats.wall_time_s:.2f}s")
     print(f"search engine: {result.stats.search.summary()}")
-    certificate = certificate_from_bound(result.stats.prune.bound)
+    certificate = certificate_from_bound(result.stats.bound)
     cert_line = _certificate_line(certificate)
     if cert_line is not None:
         print(cert_line)
@@ -375,10 +380,8 @@ def mapper_row(name: str, result) -> dict:
         result.found and result.cost.valid) else "invalid"
     certificate = getattr(result, "certificate", None)
     if certificate is None and hasattr(result, "stats"):
-        prune = getattr(result.stats, "prune", None)
-        if prune is not None:
-            certificate = certificate_from_bound(
-                getattr(prune, "bound", None))
+        certificate = certificate_from_bound(
+            getattr(result.stats, "bound", None))
     return {
         "mapper": name,
         "found": result.found,
@@ -1027,8 +1030,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("jobs", help="list a serve daemon's jobs")
     add_client_flags(p)
     p.add_argument("--json", action="store_true",
-                   help="print the raw job rows (including search and "
-                        "bound-pruning counters) as JSON")
+                   help="print the raw job rows as JSON")
     p.set_defaults(func=cmd_jobs)
 
     p = sub.add_parser("result", help="fetch a job result from a daemon")

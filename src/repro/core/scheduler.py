@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from ..arch.spec import Architecture
 from ..mapping.mapping import Mapping, MappingError, build_mapping
@@ -35,15 +35,8 @@ from ..mapping.placement import placement_table
 from ..mapspace.batch import NestCohort
 from ..mapspace.bounds import BoundModel
 from ..mapspace.factor import prime_factors
-from ..mapspace.spaces import (
-    DependentSpace,
-    ListSpace,
-    PruneStats,
-    Space,
-    check_shard,
-)
-from ..mapspace.tile import ExhaustiveTileSpace, TileSpace
-from ..mapspace.unroll import UnrollSpace
+from ..mapspace.spaces import BoundStats, check_shard
+from ..mapspace.tile import cap_tilings_by_footprint
 from ..mapping.serialize import mapping_from_dict, mapping_to_dict
 from ..model.cost import CostResult
 from ..search import (
@@ -56,8 +49,12 @@ from ..search import (
 from ..sparse.spec import SparsitySpec
 from ..workloads.expression import Workload
 from .order_trie import OrderingCandidate, TrieStats, enumerate_orderings
-from .tiling_tree import TilingStats
-from .unrolling import UnrollingStats, allowed_unroll_dims
+from .tiling_tree import TilingStats, enumerate_all_tilings, enumerate_tilings
+from .unrolling import (
+    UnrollingStats,
+    allowed_unroll_dims,
+    unroll_candidates,
+)
 
 INTRA_LEVEL_ORDERS = (
     "ordering-tiling-unrolling",
@@ -140,9 +137,8 @@ class SchedulerStats:
     trie: TrieStats = field(default_factory=TrieStats)
     tiling: TilingStats = field(default_factory=TilingStats)
     unrolling: UnrollingStats = field(default_factory=UnrollingStats)
-    # Per-pass candidate drop counters from the mapspace pruning passes
-    # (e.g. the bottom-up capacity filter).
-    prune: PruneStats = field(default_factory=PruneStats)
+    # The optimality certificate of the phase's winner (docs/MAPSPACE.md).
+    bound: BoundStats = field(default_factory=BoundStats)
     # Engine-side telemetry (shared with the engine, which may itself be
     # shared across searches — e.g. the layers of one network).
     search: SearchStats = field(default_factory=SearchStats)
@@ -236,10 +232,10 @@ class SunstoneScheduler:
         """Record the optimality certificate of a phase's winner: the
         analytic floor of the whole mapping space (which bounds the
         scheduler's restricted space from below too) against the
-        winner's value, in ``stats.prune.bound``.  One ``space_bound``
+        winner's value, in ``stats.bound``.  One ``space_bound``
         call per phase; the sweep and the polish never test a bound,
         they evaluate every candidate exactly."""
-        bnd = stats.prune.bound
+        bnd = stats.bound
         bnd.lower_bound = BoundModel(
             self.workload, self.arch,
             objective=self.options.objective,
@@ -317,7 +313,7 @@ class SunstoneScheduler:
                                       journal=self._journal)
             escalated = retry._run_one_phase("wide")
             escalated.stats.evaluations += result.stats.evaluations
-            escalated.stats.prune.bound.merge(result.stats.prune.bound)
+            escalated.stats.bound.merge(result.stats.bound)
             if escalated.found:
                 def value(r: ScheduleResult) -> float:
                     return (r.edp if self.options.objective == "edp"
@@ -795,18 +791,18 @@ class SunstoneScheduler:
         remaining: dict[str, int],
         stats: SchedulerStats,
     ) -> list[dict[str, int]]:
-        """Unrollings per the Spatial Unrolling Principle, as an
-        :class:`~repro.mapspace.unroll.UnrollSpace` with the ``augment``
-        fallback (when the principled dimension set cannot fill the
-        fanout, the remaining dimensions are admitted rather than leaving
-        lanes idle — throughput dominates EDP) and the per-step
-        utilisation cap."""
+        """Unrollings per the Spatial Unrolling Principle, with the
+        ``augment`` fallback of
+        :func:`~repro.core.unrolling.unroll_candidates` (when the
+        principled dimension set cannot fill the fanout, the remaining
+        dimensions are admitted rather than leaving lanes idle —
+        throughput dominates EDP) and the per-step utilisation cap."""
         allowed = self._allowed_unroll(order, level)
         cache_key = (level, fanout, tuple(sorted(remaining.items())), allowed)
         cached = self._unroll_cache.get(cache_key)
         if cached is not None:
             return cached
-        space = UnrollSpace(
+        unrolls = unroll_candidates(
             self.workload, fanout, remaining, allowed,
             utilization_threshold=self.options.utilization_threshold,
             max_unrolled_dims=self.options.max_unrolled_dims,
@@ -814,7 +810,6 @@ class SunstoneScheduler:
             cap=self.options.max_unrolls_per_step,
             stats=stats.unrolling,
         )
-        unrolls = space.materialize()
         self._unroll_cache[cache_key] = unrolls
         return unrolls
 
@@ -826,25 +821,27 @@ class SunstoneScheduler:
         growth: Sequence[str],
         stats: SchedulerStats,
     ) -> list[dict[str, int]]:
-        """Maximal tiles per the Tiling Principle, as a
-        :class:`~repro.mapspace.tile.TileSpace` capped to the frontier's
-        corners plus the largest footprints (the most temporal reuse)
-        when the frontier is wide."""
+        """Maximal tiles per the Tiling Principle, capped to the
+        frontier's corners plus the largest footprints (the most temporal
+        reuse) when the frontier is wide."""
+        growth = tuple(growth)
         cache_key = (
             level,
             tuple(sorted(base.items())),
             tuple(sorted(remaining.items())),
-            tuple(growth),
+            growth,
         )
         cached = self._tiling_cache.get(cache_key)
         if cached is not None:
             return cached
-        space = TileSpace(
+        tilings = enumerate_tilings(
             self.workload, self.arch, level, base, remaining, growth,
-            cap=self.options.max_tilings_per_step,
             stats=stats.tiling,
         )
-        tilings = space.materialize()
+        cap = self.options.max_tilings_per_step
+        if cap is not None and len(tilings) > cap:
+            tilings = cap_tilings_by_footprint(
+                tilings, cap, self._placement, base, growth)
         self._tiling_cache[cache_key] = tilings
         return tilings
 
@@ -898,31 +895,53 @@ class SunstoneScheduler:
             sink_level=self.arch.num_levels - 1,
         )
 
-    def _step_space_bottom_up(
+    def _fitting_children(
+        self,
+        state: _State,
+        level: int,
+        decisions: Iterable[tuple[OrderingCandidate, dict[str, int],
+                                  dict[str, int]]],
+    ) -> Iterator[_State]:
+        """Attach each (ordering, tiling, unrolling) decision of a
+        bottom-up step to ``state``, dropping the children whose
+        placement does not fit.  The shard counter numbers only the
+        children that fit: ``shard=(i, n)`` keeps those whose position
+        among them is congruent to ``i`` mod ``n``."""
+        index, count = self.options.shard or (0, 1)
+        position = 0
+        for order, tiling, unroll in decisions:
+            child = self._extend_bottom_up(state, level, order.order,
+                                           tiling, unroll)
+            if child is None:
+                continue
+            if position % count == index:
+                yield child
+            position += 1
+
+    def _children_bottom_up(
         self,
         state: _State,
         level: int,
         orderings: Sequence[OrderingCandidate],
         stats: SchedulerStats,
-    ) -> Space:
-        """The composed (ordering, tiling, unrolling) decision space of one
-        bottom-up step, nested per the configured intra-level order.  Axes
-        are composed with :class:`~repro.mapspace.spaces.DependentSpace`
-        so each inner axis is generated lazily for its outer choice, in
-        the exact historical enumeration order."""
+    ) -> Iterator[_State]:
+        """One bottom-up step: every (ordering, tiling, unrolling)
+        decision, nested per the configured intra-level order.  Each
+        inner candidate list is generated when its outer choice is
+        reached, in the exact historical enumeration order."""
         base = self._base_sizes(state, level)
         remaining = dict(state.frontier)
         fanout = self.arch.levels[level].fanout
         mode = self.options.intra_level_order
 
-        def rem_after(tiling: dict[str, int]) -> dict[str, int]:
-            return {d: remaining[d] // tiling.get(d, 1) for d in remaining}
+        def rem_after(factors: dict[str, int]) -> dict[str, int]:
+            return {d: remaining[d] // factors.get(d, 1) for d in remaining}
 
         union_growth = tuple(dict.fromkeys(
             d for order in orderings for d in self._growth_dims(order, level)
         ))
         if mode == "ordering-tiling-unrolling":
-            def tilings_for(order: OrderingCandidate) -> Space:
+            def tilings_for(order: OrderingCandidate) -> list[dict[str, int]]:
                 growth = self._growth_dims(order, level)
                 tilings = self._tiling_candidates(level, base, remaining,
                                                   growth, stats)
@@ -937,24 +956,24 @@ class SunstoneScheduler:
                         t for t in extra
                         if tuple(sorted(t.items())) not in seen
                     ]
-                return ListSpace(tilings)
+                return tilings
 
-            return DependentSpace(
-                ListSpace(list(orderings)),
-                lambda order: DependentSpace(
-                    tilings_for(order),
-                    lambda tiling: ListSpace(self._unroll_candidates(
-                        order, level, fanout, rem_after(tiling), stats)),
-                ),
-                combine=lambda order, pair: (order, pair[0], pair[1]),
+            decisions = (
+                (order, tiling, unroll)
+                for order in orderings
+                for tiling in tilings_for(order)
+                for unroll in self._unroll_candidates(
+                    order, level, fanout, rem_after(tiling), stats)
             )
+            return self._fitting_children(state, level, decisions)
 
         union_allowed = tuple(dict.fromkeys(
             d for order in orderings for d in self._allowed_unroll(order, level)
         ))
 
-        def union_unrolls(remaining_now: dict[str, int]) -> Space:
-            return UnrollSpace(
+        def union_unrolls(remaining_now: dict[str, int]
+                          ) -> list[dict[str, int]]:
+            return unroll_candidates(
                 self.workload, fanout, remaining_now, union_allowed,
                 utilization_threshold=self.options.utilization_threshold,
                 max_unrolled_dims=self.options.max_unrolled_dims,
@@ -964,44 +983,21 @@ class SunstoneScheduler:
         if mode == "tiling-unrolling-ordering":
             tilings = self._tiling_candidates(level, base, remaining,
                                               union_growth, stats)
-            return DependentSpace(
-                ListSpace(tilings),
-                lambda tiling: DependentSpace(
-                    union_unrolls(rem_after(tiling)),
-                    lambda unroll: ListSpace(list(orderings)),
-                ),
-                combine=lambda tiling, pair: (pair[1], tiling, pair[0]),
+            decisions = (
+                (order, tiling, unroll)
+                for tiling in tilings
+                for unroll in union_unrolls(rem_after(tiling))
+                for order in orderings
             )
-
-        # unrolling-tiling-ordering
-        return DependentSpace(
-            union_unrolls(remaining),
-            lambda unroll: DependentSpace(
-                ListSpace(self._tiling_candidates(
-                    level, base,
-                    {d: remaining[d] // unroll.get(d, 1) for d in remaining},
-                    union_growth, stats)),
-                lambda tiling: ListSpace(list(orderings)),
-            ),
-            combine=lambda unroll, pair: (pair[1], pair[0], unroll),
-        )
-
-    def _children_bottom_up(
-        self,
-        state: _State,
-        level: int,
-        orderings: Sequence[OrderingCandidate],
-        stats: SchedulerStats,
-    ) -> Iterator[_State]:
-        decisions = self._step_space_bottom_up(state, level, orderings, stats)
-        # Placement feasibility is the capacity pruning pass of the step
-        # space: children whose tile cannot fit its storage homes under
-        # the boundary's replication are dropped (and counted).
-        children = decisions.map(
-            lambda triple: self._extend_bottom_up(
-                state, level, triple[0].order, triple[1], triple[2]),
-        ).filter(lambda child: child is not None, "capacity", stats.prune)
-        return children.enumerate(shard=self.options.shard)
+        else:  # unrolling-tiling-ordering
+            decisions = (
+                (order, tiling, unroll)
+                for unroll in union_unrolls(remaining)
+                for tiling in self._tiling_candidates(
+                    level, base, rem_after(unroll), union_growth, stats)
+                for order in orderings
+            )
+        return self._fitting_children(state, level, decisions)
 
     def _children_top_down(
         self,
@@ -1014,13 +1010,13 @@ class SunstoneScheduler:
         ``level`` (parent temporal + boundary spatial) and the tile kept at
         ``level`` and below.
 
-        The decision space composes, per ordering, an
-        :class:`~repro.mapspace.tile.ExhaustiveTileSpace` — maximality
-        pruning is unsound going down, since the lower levels are
-        undecided and a smaller tile here can enable a better lower-level
-        structure; this is why the top-down space is an order of
-        magnitude larger (Table VI) — with the unroll candidates of the
-        residual quotient."""
+        Per ordering, the tiles are every fitting divisor combination
+        (:func:`~repro.core.tiling_tree.enumerate_all_tilings`) —
+        maximality pruning is unsound going down, since the lower levels
+        are undecided and a smaller tile here can enable a better
+        lower-level structure; this is why the top-down space is an order
+        of magnitude larger (Table VI) — each with the unroll candidates
+        of the residual quotient.  Every child counts for the shard."""
         remaining = dict(state.frontier)
         base = {d: 1 for d in self.workload.dims}
         fanout = self.arch.levels[level].fanout
@@ -1028,21 +1024,19 @@ class SunstoneScheduler:
         def quotient(tiling: dict[str, int]) -> dict[str, int]:
             return {d: remaining[d] // tiling.get(d, 1) for d in remaining}
 
-        decisions = DependentSpace(
-            ListSpace(list(orderings)),
-            lambda order: DependentSpace(
-                ExhaustiveTileSpace(
-                    self.workload, self.arch, level, base, remaining,
-                    dims=self._growth_dims(order, level), stats=stats.tiling,
-                ),
-                lambda tiling: ListSpace(self._unroll_candidates(
-                    order, level, fanout, quotient(tiling), stats)),
-            ),
-            combine=lambda order, pair: (order, pair[0], pair[1]),
+        decisions = (
+            (order, tiling, unroll)
+            for order in orderings
+            for tiling in enumerate_all_tilings(
+                self.workload, self.arch, level, base, remaining,
+                stats=stats.tiling, dims=self._growth_dims(order, level))
+            for unroll in self._unroll_candidates(
+                order, level, fanout, quotient(tiling), stats)
         )
-
-        def extend(triple) -> _State:
-            order, tiling, unroll = triple
+        index, count = self.options.shard or (0, 1)
+        for position, (order, tiling, unroll) in enumerate(decisions):
+            if position % count != index:
+                continue
             quot = quotient(tiling)
             parent_temporal = {
                 d: quot[d] // unroll.get(d, 1)
@@ -1057,21 +1051,16 @@ class SunstoneScheduler:
             }
             spatial[level] = dict(unroll)
             orders[level + 1] = order.order
-            new_frontier = {
-                d: tiling.get(d, 1) for d in remaining
-            }
             # Residual factors park at level 0 for estimation (as in the
             # paper: the estimate is far from the final energy, so
             # alpha-beta prunes poorly — the Table VI effect).
-            return _State(
+            yield _State(
                 temporal=tuple(temporal),
                 spatial=tuple(spatial),
                 orders=tuple(orders),
-                frontier=new_frontier,
+                frontier={d: tiling.get(d, 1) for d in remaining},
                 sink_level=0,
             )
-
-        return decisions.map(extend).enumerate(shard=self.options.shard)
 
     # ------------------------------------------------------------------
     # completion of a partial schedule

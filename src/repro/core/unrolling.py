@@ -11,10 +11,17 @@ dimensions spatially reuse the *other* tensors.
 High-throughput pruning keeps only the candidates with maximal achievable
 utilisation of the fanout (ties kept), mirroring the paper's
 "high throughput" pruning method (Table I).
+
+:func:`unroll_candidates` adds the two fallback policies the searches
+share when the principled dimension set cannot fill the fanout —
+``"augment"`` (Sunstone: append the other dimensions' candidates) and
+``"replace"`` (Interstellar: regenerate over every dimension) — and an
+optional ``cap`` keeping the highest-utilisation candidates.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -130,3 +137,48 @@ def enumerate_unrollings(
     final = list(unique.values())
     stats.candidates += len(final)
     return final
+
+
+def unroll_size(unroll: Mapping[str, int]) -> int:
+    """Lanes occupied by an unrolling (1 for the empty unrolling)."""
+    return math.prod(unroll.values()) if unroll else 1
+
+
+def unroll_candidates(
+    workload: Workload,
+    fanout: int,
+    remaining: Mapping[str, int],
+    allowed: Sequence[str] | None = None,
+    utilization_threshold: float = 1.0,
+    max_unrolled_dims: int = 2,
+    fallback: str | None = None,
+    cap: int | None = None,
+    stats: UnrollingStats | None = None,
+) -> list[dict[str, int]]:
+    """Spatial factor assignments for one fanout boundary."""
+    if fallback not in (None, "augment", "replace"):
+        raise ValueError(f"unknown fallback policy {fallback!r}")
+    allowed = tuple(allowed) if allowed is not None else workload.dim_names
+
+    def generate(dims: Sequence[str]) -> list[dict[str, int]]:
+        return enumerate_unrollings(
+            workload, fanout, remaining, dims, stats=stats,
+            utilization_threshold=utilization_threshold,
+            max_unrolled_dims=max_unrolled_dims,
+        )
+
+    unrolls = generate(allowed)
+    if fallback is not None and fanout > 1:
+        best = max((unroll_size(u) for u in unrolls), default=1)
+        short = best < fanout
+        if short and fallback == "replace":
+            unrolls = generate(workload.dim_names)
+        elif (short and fallback == "augment"
+                and len(allowed) < len(workload.dim_names)):
+            seen = {tuple(sorted(u.items())) for u in unrolls}
+            unrolls += [u for u in generate(workload.dim_names)
+                        if tuple(sorted(u.items())) not in seen]
+    if cap is not None and len(unrolls) > cap:
+        unrolls.sort(key=unroll_size, reverse=True)
+        unrolls = unrolls[:cap]
+    return unrolls

@@ -3,6 +3,15 @@
 Lets users persist discovered mappings, ship them to a code generator, or
 diff them across scheduler versions.  The format is a plain nested-dict
 schema (stable keys, no pickling) so other tools can parse it.
+
+The parsers are the one reader behind serve job specs, CLI ``.json``
+configs, :func:`load_mapping` and journal replay, so they hold one rule:
+integer fields (dims, capacities, fanouts, ``mac_width``,
+``mac_word_bits``, index strides) must be JSON integers and energy and
+bandwidth fields JSON numbers — never bools or strings, never a
+truncated float.  A ``null`` keeps its documented meaning (an unbounded
+capacity, an infinite bandwidth); anything else raises a ``ValueError``
+naming the field.
 """
 
 from __future__ import annotations
@@ -15,6 +24,27 @@ from ..workloads.expression import IndexExpr, TensorRef, Workload
 from .mapping import LevelMapping, Mapping
 
 SCHEMA_VERSION = 1
+
+
+def _json_int(value: Any, field: str) -> int:
+    """``value`` when it is a JSON integer (``true`` is not 1 and ``2.5``
+    is not 2), else a ValueError naming ``field``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
+def _json_number(value: Any, field: str) -> float:
+    """``value`` when it is a JSON number, else a ValueError naming
+    ``field``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{field} must be a number, got {value!r}")
+    return value
+
+
+def _bandwidth(value: Any, field: str) -> float:
+    """A bandwidth field: ``null`` (or absent) means infinite."""
+    return float("inf") if value is None else _json_number(value, field)
 
 
 # ---------------------------------------------------------------------------
@@ -42,10 +72,17 @@ def workload_to_dict(workload: Workload) -> dict[str, Any]:
 
 
 def workload_from_dict(data: dict[str, Any]) -> Workload:
+    dims = data["dims"]
+    if not isinstance(dims, dict):
+        raise ValueError(f"workload dims must be an object, got {dims!r}")
+    for dim, size in dims.items():
+        _json_int(size, f"workload dim {dim!r}")
     tensors = []
     for entry in data["tensors"]:
         indices = tuple(
-            IndexExpr(tuple(e["dims"]), stride=e.get("stride", 1))
+            IndexExpr(tuple(e["dims"]), stride=_json_int(
+                e.get("stride", 1),
+                f"tensor {entry['name']!r} index stride"))
             for e in entry["indices"]
         )
         tensors.append(TensorRef(
@@ -53,7 +90,7 @@ def workload_from_dict(data: dict[str, Any]) -> Workload:
             is_output=entry.get("is_output", False),
             role=entry.get("role", ""),
         ))
-    return Workload(data["name"], data["dims"], tensors)
+    return Workload(data["name"], dims, tensors)
 
 
 # ---------------------------------------------------------------------------
@@ -111,35 +148,49 @@ def _bw(value: float) -> float | None:
 def architecture_from_dict(data: dict[str, Any]) -> Architecture:
     levels = []
     for entry in data["levels"]:
+        where = f"level {entry['name']!r}"
+        capacity = entry["capacity_words"]
+        if capacity is not None:
+            if not isinstance(capacity, dict):
+                raise ValueError(f"{where} capacity_words must be an object "
+                                 f"or null, got {capacity!r}")
+            for role, words in capacity.items():
+                _json_int(words, f"{where} capacity_words[{role!r}]")
+        shape = entry.get("fanout_shape")
+        if shape is not None and not isinstance(shape, list):
+            raise ValueError(f"{where} fanout_shape must be a list or null, "
+                             f"got {shape!r}")
         component = entry.get("component")
         levels.append(MemoryLevel(
             name=entry["name"],
-            capacity_words=entry["capacity_words"],
-            fanout=entry.get("fanout", 1),
-            fanout_shape=(tuple(entry["fanout_shape"])
-                          if entry.get("fanout_shape") else None),
-            read_energy=entry.get("read_energy", 0.0),
-            write_energy=entry.get("write_energy", 0.0),
-            network_energy=entry.get("network_energy", 0.0),
-            read_bandwidth=(entry.get("read_bandwidth")
-                            if entry.get("read_bandwidth") is not None
-                            else float("inf")),
-            write_bandwidth=(entry.get("write_bandwidth")
-                             if entry.get("write_bandwidth") is not None
-                             else float("inf")),
+            capacity_words=capacity,
+            fanout=_json_int(entry.get("fanout", 1), f"{where} fanout"),
+            fanout_shape=(tuple(_json_int(n, f"{where} fanout_shape")
+                                for n in shape) if shape else None),
+            read_energy=_json_number(entry.get("read_energy", 0.0),
+                                     f"{where} read_energy"),
+            write_energy=_json_number(entry.get("write_energy", 0.0),
+                                      f"{where} write_energy"),
+            network_energy=_json_number(entry.get("network_energy", 0.0),
+                                        f"{where} network_energy"),
+            read_bandwidth=_bandwidth(entry.get("read_bandwidth"),
+                                      f"{where} read_bandwidth"),
+            write_bandwidth=_bandwidth(entry.get("write_bandwidth"),
+                                       f"{where} write_bandwidth"),
             component=(ComponentSpec.from_dict(component)
                        if component is not None else None),
             link=entry.get("link", "noc"),
-            link_bandwidth=(entry.get("link_bandwidth")
-                            if entry.get("link_bandwidth") is not None
-                            else float("inf")),
+            link_bandwidth=_bandwidth(entry.get("link_bandwidth"),
+                                      f"{where} link_bandwidth"),
         ))
+    word_bits = data.get("mac_word_bits")
     return Architecture(
         data["name"], levels,
-        mac_energy=data.get("mac_energy", 1.0),
-        mac_width=data.get("mac_width", 1),
+        mac_energy=_json_number(data.get("mac_energy", 1.0), "mac_energy"),
+        mac_width=_json_int(data.get("mac_width", 1), "mac_width"),
         tech=data.get("tech", "cmos45"),
-        mac_word_bits=data.get("mac_word_bits"),
+        mac_word_bits=(None if word_bits is None
+                       else _json_int(word_bits, "mac_word_bits")),
     )
 
 

@@ -26,7 +26,6 @@ Everything degrades gracefully without numpy: ``geometry()`` and
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterator, Sequence
 
 from .. import optional_numpy
@@ -34,7 +33,11 @@ from ..arch.spec import Architecture
 from ..mapping.mapping import LevelMapping, Mapping
 from ..model.batch import evaluate_geometry, stage_nests
 from ..workloads.expression import Workload
-from .factor import FactorLattice
+from .mapspace import (
+    assignment_slots,
+    full_space_lattices,
+    order_permutations,
+)
 from .spaces import check_shard
 
 # Cohort size of full_space_cohorts: large enough to amortise the numpy
@@ -227,11 +230,6 @@ class SpaceDecoder:
 
     def __init__(self, workload: Workload, arch: Architecture,
                  orders_per_level: int | None = None) -> None:
-        # Imported here: mapspace.py reaches repro.core (via the order
-        # trie), which imports the scheduler, which imports this module —
-        # a cycle at package-load time but not at call time.
-        from .mapspace import assignment_slots
-
         self.workload = workload
         self.arch = arch
         self.num = arch.num_levels
@@ -241,14 +239,11 @@ class SpaceDecoder:
         self.total = 0
         if optional_numpy.np is None:
             return
-        lattices = [FactorLattice(d, workload.dims[d], self.slots)
-                    for d in self.dims]
-        matrices = [lattice.split_matrix() for lattice in lattices]
+        matrices = [lattice.split_matrix()
+                    for lattice in full_space_lattices(workload, arch)]
         if any(m is None for m in matrices):
             return
-        order_items = list(itertools.permutations(self.dims))
-        if orders_per_level is not None:
-            order_items = order_items[:orders_per_level]
+        order_items = order_permutations(self.dims, orders_per_level)
         if not order_items:
             return
         self.matrices = matrices
@@ -315,7 +310,7 @@ def full_space_cohorts(
     """Stream the full mapping space as :class:`MatrixCohort` batches.
 
     Row order matches :func:`~repro.mapspace.mapspace.full_mapping_space`
-    enumeration (and hence the historical exhaustive stream) exactly;
+    (and hence the historical exhaustive stream) exactly;
     ``shard=(i, n)`` selects the rows whose global enumeration index is
     congruent to ``i`` mod ``n``.  Returns ``None`` when the vectorized
     decode is unavailable (no numpy, a lattice too large to stage, or a

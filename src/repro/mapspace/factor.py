@@ -1,14 +1,14 @@
 """Per-dimension factor lattices: prime-factor tile splits over slots.
 
-A :class:`FactorLattice` is the declarative form of "distribute the prime
-factors of one dimension's extent across an ordered set of slots" — the
-decision every tiling strategy in this repo ultimately makes, whether the
-slots are the temporal levels of a hierarchy, the (temporal, spatial)
-assignment slots of the full mapping space, or two abstract halves of an
-off-chip/on-chip split.  Its ``size()`` is the closed-form count of
-ordered factorisations, its ``enumerate()`` a deterministic stream of
-splits, and ``sample(rng)`` a uniform prime-placement draw matching the
-sampling baselines' historical RNG consumption exactly.
+A :class:`FactorLattice` is "distribute the prime factors of one
+dimension's extent across an ordered set of slots" — the decision every
+tiling strategy in this repo ultimately makes, whether the slots are the
+temporal levels of a hierarchy or the (temporal, spatial) assignment
+slots of the full mapping space.  Its ``size()`` is the closed-form
+count of ordered factorisations, ``splits()`` a deterministic stream of
+splits (``split_matrix()`` the same list as an int64 matrix), and
+``sample(rng)`` a uniform prime-placement draw matching the sampling
+baselines' historical RNG consumption exactly.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import math
 from typing import Any, Iterator, Sequence
 
 from .. import optional_numpy
-from .spaces import Space
 
 # Above this many raw prime placements (slots ** num_primes) the
 # vectorized lattice would materialise an unreasonably large staging
@@ -55,14 +54,16 @@ def ordered_factorizations(n: int, slots: int) -> int:
     return count
 
 
-class FactorLattice(Space):
+class FactorLattice:
     """All ordered splits of ``extent`` across ``slots``.
 
     ``slots`` is an ordered sequence of opaque labels (e.g. ``("t", 0)``,
-    ``("s", 0)``, ``("t", 1)`` …).  Enumeration yields tuples of factors
-    aligned with ``slots`` whose product is ``extent``, deduplicated, in
+    ``("s", 0)``, ``("t", 1)`` …).  :meth:`splits` yields tuples of
+    factors aligned with ``slots`` whose product is ``extent``, deduplicated, in
     the canonical prime-placement order; ``size()`` is the closed-form
     ordered-factorisation count and always equals the stream length.
+    The order is part of the contract: the exhaustive decoder's indices
+    and the goldens depend on it.
     """
 
     def __init__(self, dim: str, extent: int, slots: Sequence[Any]) -> None:
@@ -78,7 +79,8 @@ class FactorLattice(Space):
     def size(self) -> int:
         return ordered_factorizations(self.extent, len(self.slots))
 
-    def _generate(self) -> Iterator[tuple[int, ...]]:
+    def splits(self) -> Iterator[tuple[int, ...]]:
+        """Every split, first prime slowest, first occurrence kept."""
         slots = len(self.slots)
         if not self.primes:
             yield (1,) * slots
@@ -139,26 +141,3 @@ class FactorLattice(Space):
             split[slot] *= p
         return split
 
-
-class DivisorSpace(Space):
-    """Divisors of ``extent`` not exceeding ``bound``, ascending.
-
-    The per-boundary unrolling choice set of Table I's counting model.
-    """
-
-    def __init__(self, extent: int, bound: int | None = None) -> None:
-        if extent < 1:
-            raise ValueError("extent must be >= 1")
-        self.extent = extent
-        self.bound = bound
-        from ..core.tiling_tree import divisors
-        choices = divisors(extent)
-        if bound is not None:
-            choices = tuple(d for d in choices if d <= bound)
-        self._choices = choices
-
-    def size(self) -> int:
-        return len(self._choices)
-
-    def _generate(self) -> Iterator[int]:
-        return iter(self._choices)

@@ -1,25 +1,27 @@
-"""The :class:`Mapspace` facade and whole-mapping space builders.
+"""Whole-mapping space builders.
 
 ``assignment_slots`` fixes the canonical slot order every strategy
 shares (temporal slot per level, spatial slot at fanout boundaries);
 ``assemble_mapping`` is the one decode from per-level factor dicts plus
 loop orders to a :class:`~repro.mapping.mapping.Mapping`; and
-``full_mapping_space`` composes per-dimension :class:`FactorLattice`
-axes with per-level orderings into the complete mapping space the
-exhaustive and sampling baselines are defined over — with an analytic
-``size()`` and the exact historical enumeration order.
+``full_mapping_space`` crosses per-dimension :class:`FactorLattice`
+splits with per-level orderings into the complete mapping space the
+exhaustive and sampling baselines are defined over, in the exact
+historical enumeration order, with ``full_space_size`` its closed-form
+size.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from typing import Any, Iterator, Mapping as MappingT, Sequence
 
 from ..arch.spec import Architecture
 from ..mapping.mapping import LevelMapping, Mapping
 from ..workloads.expression import Workload
 from .factor import FactorLattice
-from .order import PermutationSpace
-from .spaces import ProductSpace, Space
+from .spaces import check_shard
 
 Slot = "tuple[str, int]"
 
@@ -101,56 +103,70 @@ def assemble_mapping(
     return Mapping(workload, arch, levels)
 
 
-class Mapspace(Space):
-    """A composed mapping space with named axes.
+def full_space_lattices(workload: Workload, arch: Architecture
+                        ) -> list[FactorLattice]:
+    """One factor lattice per workload dimension (workload order) over
+    the canonical assignment slots: the tiling axes of the full space."""
+    slots = assignment_slots(arch)
+    return [FactorLattice(d, workload.dims[d], slots)
+            for d in workload.dim_names]
 
-    ``root`` is the composed :class:`Space` that yields the candidates;
-    ``axes`` names the constituent axis spaces (the exhaustive walker
-    reads its split and ordering axes from here).
-    """
 
-    def __init__(self, root: Space,
-                 axes: MappingT[str, Space] | None = None) -> None:
-        self.root = root
-        self.axes = dict(axes) if axes else {}
+def order_permutations(dims: Sequence[str],
+                       orders_per_level: int | None = None
+                       ) -> list[tuple[str, ...]]:
+    """The loop orders every level of the full space ranges over: the
+    first ``orders_per_level`` permutations of ``dims`` (all when None),
+    in :func:`itertools.permutations` order."""
+    return list(itertools.islice(itertools.permutations(dims),
+                                 orders_per_level))
 
-    def size(self) -> int:
-        return self.root.size()
 
-    def _generate(self) -> Iterator:
-        return self.root.enumerate()
+def full_space_size(
+    workload: Workload,
+    arch: Architecture,
+    orders_per_level: int | None = None,
+) -> int:
+    """Closed-form size of :func:`full_mapping_space`: the product of the
+    lattice sizes times ``min(orders_per_level, n!)`` per level."""
+    if orders_per_level is not None and orders_per_level < 0:
+        raise ValueError("orders_per_level must be >= 0")
+    orders = math.factorial(len(workload.dim_names))
+    if orders_per_level is not None:
+        orders = min(orders, orders_per_level)
+    size = orders ** arch.num_levels
+    for lattice in full_space_lattices(workload, arch):
+        size *= lattice.size()
+    return size
 
 
 def full_mapping_space(
     workload: Workload,
     arch: Architecture,
     orders_per_level: int | None = None,
-) -> Mapspace:
-    """The complete mapping space: per-dimension factor lattices over the
+    shard: tuple[int, int] | None = None,
+) -> Iterator[Mapping]:
+    """The complete mapping space: per-dimension factor splits over the
     canonical assignment slots, crossed with per-level loop orderings.
 
     Enumeration order is the historical exhaustive-search order: the
     per-dimension splits form the outer product (first workload dimension
     outermost), the per-level orderings the inner product (innermost
-    level's ordering varying slowest of the order axes).  ``size()`` is
-    analytic — no enumeration happens until the space is walked.
+    level's ordering varying slowest of the order axes).  ``shard=(i, n)``
+    yields the candidates whose position is congruent to ``i`` mod ``n``.
     """
+    index, count = check_shard(shard) or (0, 1)
     num = arch.num_levels
     dims = workload.dim_names
     slots = assignment_slots(arch)
-    lattices = [FactorLattice(d, workload.dims[d], slots) for d in dims]
-    orderings = PermutationSpace(dims).head(orders_per_level)
-
-    def build(*parts):
-        splits = parts[:len(dims)]
-        level_orders = parts[len(dims):]
-        temporal, spatial = stores_from_splits(dims, splits, slots, num)
-        return assemble_mapping(workload, arch, temporal, spatial,
-                                level_orders)
-
-    root = ProductSpace(list(lattices) + [orderings] * num, combine=build)
-    axes: dict[str, Space] = {
-        f"tiling[{d}]": lattice for d, lattice in zip(dims, lattices)
-    }
-    axes["ordering"] = orderings
-    return Mapspace(root, axes=axes)
+    splits = [list(lattice.splits())
+              for lattice in full_space_lattices(workload, arch)]
+    orderings = order_permutations(dims, orders_per_level)
+    position = 0
+    for combo in itertools.product(*splits):
+        temporal, spatial = stores_from_splits(dims, combo, slots, num)
+        for level_orders in itertools.product(orderings, repeat=num):
+            if position % count == index:
+                yield assemble_mapping(workload, arch, temporal, spatial,
+                                       level_orders)
+            position += 1

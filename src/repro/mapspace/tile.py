@@ -1,37 +1,17 @@
-"""Tile spaces: per-level temporal factor candidates.
+"""The tile cap of Sunstone's bottom-up sweep.
 
-Three declarative forms cover every tiling strategy in the repo:
-
-* :class:`TileSpace` — the Tiling-Principle tree of maximal fitting
-  tiles (:func:`repro.core.tiling_tree.enumerate_tilings`), with the
-  footprint-corner cap policy Sunstone's bottom-up sweep applies when
-  the frontier is wide;
-* :class:`ExhaustiveTileSpace` — every fitting divisor combination
-  (:func:`repro.core.tiling_tree.enumerate_all_tilings`), used by the
-  top-down sweep where maximality pruning is unsound;
-* :class:`DivisorGridSpace` — the raw, unfiltered divisor grid, which
-  baselines constrain with their own pruning passes (dMazeRunner's
-  utilisation band).
-
-All three yield per-dimension multiplier dicts in a deterministic
-order.
+The sweeps take their tile candidates straight from
+:mod:`repro.core.tiling_tree` (the Tiling-Principle tree of maximal
+fitting tiles, or every fitting divisor combination for the top-down
+sweep); :func:`cap_tilings_by_footprint` is the policy that trims a
+wide frontier to ``max_tilings_per_step`` tiles.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from ..arch.spec import Architecture
-from ..core.tiling_tree import (
-    TilingStats,
-    divisors,
-    enumerate_all_tilings,
-    enumerate_tilings,
-)
-from ..mapping.placement import PlacementTable, placement_table
-from ..workloads.expression import Workload
-from .spaces import LazySpace, Space
+from ..mapping.placement import PlacementTable
 
 
 def cap_tilings_by_footprint(
@@ -74,76 +54,3 @@ def cap_tilings_by_footprint(
         admit(tiling)
     return chosen
 
-
-class TileSpace(LazySpace):
-    """Maximal tiles per the Tiling Principle, optionally capped to the
-    frontier's corners plus the largest footprints."""
-
-    def __init__(
-        self,
-        workload: Workload,
-        arch: Architecture,
-        level: int,
-        base: Mapping[str, int],
-        remaining: Mapping[str, int],
-        growth: Sequence[str],
-        cap: int | None = None,
-        stats: TilingStats | None = None,
-    ) -> None:
-        self.workload = workload
-        self.growth = tuple(growth)
-
-        def build() -> list[dict[str, int]]:
-            tilings = enumerate_tilings(
-                workload, arch, level, base, remaining, self.growth,
-                stats=stats,
-            )
-            if cap is not None and len(tilings) > cap:
-                tilings = cap_tilings_by_footprint(
-                    tilings, cap, placement_table(workload, arch), base,
-                    self.growth)
-            return tilings
-
-        super().__init__(build)
-
-
-class ExhaustiveTileSpace(LazySpace):
-    """Every fitting divisor combination (no maximality pruning)."""
-
-    def __init__(
-        self,
-        workload: Workload,
-        arch: Architecture,
-        level: int,
-        base: Mapping[str, int],
-        remaining: Mapping[str, int],
-        dims: Sequence[str] | None = None,
-        stats: TilingStats | None = None,
-    ) -> None:
-        super().__init__(lambda: enumerate_all_tilings(
-            workload, arch, level, base, remaining,
-            stats=stats, dims=dims,
-        ))
-
-
-class DivisorGridSpace(Space):
-    """The raw divisor grid: every combination of per-dimension divisor
-    multipliers of ``remaining``, unfiltered, in row-major
-    :func:`itertools.product` order over ``dims``.  Trivial factors are
-    omitted from the yielded dicts."""
-
-    def __init__(self, remaining: Mapping[str, int],
-                 dims: Sequence[str]) -> None:
-        self.dims = tuple(d for d in dims if remaining.get(d, 1) > 1)
-        self.remaining = {d: remaining[d] for d in self.dims}
-
-    def size(self) -> int:
-        total = 1
-        for d in self.dims:
-            total *= len(divisors(self.remaining[d]))
-        return total
-
-    def _generate(self) -> Iterator[dict[str, int]]:
-        choice_lists = [divisors(self.remaining[d]) for d in self.dims]
-        for combo in itertools.product(*choice_lists):
-            yield {d: f for d, f in zip(self.dims, combo) if f > 1}

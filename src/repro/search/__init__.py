@@ -10,21 +10,17 @@ from .checkpoint import (
     sweep_stale_temps,
 )
 from .engine import SearchEngine, resolve_engine
-from .faults import FaultPlan, InjectedFault, plan_from_env
 from .result import MappingOutcome
 from .fingerprint import (
     architecture_fingerprint,
     mapping_fingerprint,
     workload_fingerprint,
 )
-from .stats import FaultStats, SearchStats
+from .stats import SearchStats
 
 __all__ = [
     "CheckpointJournal",
     "EvalCache",
-    "FaultPlan",
-    "FaultStats",
-    "InjectedFault",
     "JournalError",
     "MappingOutcome",
     "SearchEngine",
@@ -33,7 +29,6 @@ __all__ = [
     "atomic_write_json",
     "flush_active_journals",
     "mapping_fingerprint",
-    "plan_from_env",
     "read_journal_entries",
     "resolve_engine",
     "sweep_stale_temps",

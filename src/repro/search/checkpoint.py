@@ -27,6 +27,13 @@ provably converges to the same best mapping (pinned by
 An optional sidecar (``<path>.cache.pkl``) snapshots the
 :class:`~repro.search.cache.EvalCache` so a resumed search also starts
 warm; it is a pure accelerator and never changes results.
+
+Two environment hooks let CI kill a search through the unmodified CLI:
+``REPRO_CHECKPOINT_KILL_AFTER=N`` makes the journal fire after its
+``N``-th append, and ``REPRO_CHECKPOINT_KILL_MODE`` picks how
+(:func:`checkpoint_kill_mode`); the default hard-exits with
+:data:`KILL_EXIT_CODE`, a deterministic "OOM-killed mid-search" for the
+``--checkpoint``/``--resume`` smoke test.
 """
 
 from __future__ import annotations
@@ -40,12 +47,35 @@ import zlib
 from typing import Any, Iterable
 
 from .cache import EvalCache
-from .faults import (
-    KILL_EXIT_CODE,
-    KILL_MODES,
-    checkpoint_kill_after,
-    checkpoint_kill_mode,
-)
+
+KILL_EXIT_CODE = 86
+KILL_MODES = ("exit", "interrupt", "sigterm")
+
+
+def checkpoint_kill_after(env: dict[str, str] | None = None) -> int | None:
+    """``REPRO_CHECKPOINT_KILL_AFTER`` as an int, or ``None``."""
+    text = (env if env is not None else os.environ).get(
+        "REPRO_CHECKPOINT_KILL_AFTER", "").strip()
+    if not text:
+        return None
+    value = int(text)
+    if value < 1:
+        raise ValueError("REPRO_CHECKPOINT_KILL_AFTER must be >= 1")
+    return value
+
+
+def checkpoint_kill_mode(env: dict[str, str] | None = None) -> str:
+    """``REPRO_CHECKPOINT_KILL_MODE``: how the journal's injected kill
+    fires — ``exit`` (hard ``os._exit``, the SIGKILL/OOM stand-in),
+    ``interrupt`` (raise ``KeyboardInterrupt``, the Ctrl-C stand-in) or
+    ``sigterm`` (deliver a real ``SIGTERM`` to this process, for
+    deterministic graceful-shutdown tests).  Defaults to ``exit``."""
+    mode = (env if env is not None else os.environ).get(
+        "REPRO_CHECKPOINT_KILL_MODE", "").strip() or "exit"
+    if mode not in KILL_MODES:
+        raise ValueError(f"REPRO_CHECKPOINT_KILL_MODE must be one of "
+                         f"{KILL_MODES}, got {mode!r}")
+    return mode
 
 
 class JournalError(RuntimeError):
@@ -199,9 +229,9 @@ class CheckpointJournal:
         Enable :meth:`save_cache_snapshot` / :meth:`load_cache_snapshot`
         (the ``<path>.cache.pkl`` sidecar).
     kill_after / kill_mode:
-        Deterministic fault injection: after ``kill_after`` successful
+        Deterministic kill injection: after ``kill_after`` successful
         appends the journal either hard-exits the process
-        (``"exit"``, exit code ``faults.KILL_EXIT_CODE`` — the CI
+        (``"exit"``, exit code :data:`KILL_EXIT_CODE` — the CI
         kill-mid-search smoke), raises ``KeyboardInterrupt``
         (``"interrupt"`` — the in-process regression tests), or
         delivers a real ``SIGTERM`` to the process (``"sigterm"`` —

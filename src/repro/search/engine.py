@@ -36,7 +36,6 @@ from ..model.batch import MIN_BATCH, stage_mappings
 from ..model.cost import CostResult, evaluate
 from ..sparse.spec import SparsitySpec
 from .cache import EvalCache
-from .faults import FaultPlan, InjectedFault, plan_from_env
 from .fingerprint import (
     Fingerprint,
     architecture_fingerprint,
@@ -44,9 +43,6 @@ from .fingerprint import (
     workload_fingerprint,
 )
 from .stats import SearchStats
-
-# In-process evaluation retries after an injected fault before giving up.
-_MAX_EVAL_RETRIES = 3
 
 
 class _MappingCohort(Cohort):
@@ -99,11 +95,6 @@ class SearchEngine:
         Entry cap of the result :class:`EvalCache`.  ``None`` keeps the
         cache's default bound; ``0`` means unbounded.  Ignored when an
         existing ``EvalCache`` object is passed.
-    fault_plan:
-        Optional :class:`~repro.search.faults.FaultPlan` injecting
-        deterministic evaluation exceptions for the regression suite.
-        Defaults to the ``REPRO_FAULTS`` environment hook (usually
-        unset).
     """
 
     def __init__(
@@ -112,7 +103,6 @@ class SearchEngine:
         partial_reuse: bool = True,
         sparsity: SparsitySpec | None = None,
         cache_size: int | None = None,
-        fault_plan: FaultPlan | None = None,
     ) -> None:
         if cache_size is not None and cache_size < 0:
             raise ValueError("cache_size must be >= 0 (0 = unbounded)")
@@ -127,11 +117,6 @@ class SearchEngine:
         self.partial_reuse = partial_reuse
         self.sparsity = sparsity
         self.stats = SearchStats()
-        self._fault_plan = fault_plan if fault_plan is not None \
-            else plan_from_env()
-        # Deterministic site counter of scalar evaluation calls, for
-        # fault injection.
-        self._eval_site = 0
         # Workload/architecture fingerprints are invariant across the
         # thousands of candidates of one search; memoise them by object
         # identity (the referenced objects are kept alive by the entry).
@@ -262,35 +247,12 @@ class SearchEngine:
                 stats.add_stage_time("model", time.perf_counter() - start)
                 stats.batched_evaluations += len(indices)
                 return results
-        results = [self._model_eval(cohort.materialize(i)) for i in indices]
+        results = [evaluate(cohort.materialize(i),
+                            partial_reuse=self.partial_reuse,
+                            sparsity=self.sparsity)
+                   for i in indices]
         stats.add_stage_time("model", time.perf_counter() - start)
         return results
-
-    def _model_eval(self, mapping: Mapping) -> CostResult:
-        """One in-process cost-model call, surviving injected faults.
-
-        An :class:`InjectedFault` from the fault plan is retried in
-        place (counted in ``stats.faults``); the model itself is pure,
-        so a retry is bit-identical to an undisturbed call.
-        """
-        plan = self._fault_plan
-        if plan is None:
-            return evaluate(mapping, partial_reuse=self.partial_reuse,
-                            sparsity=self.sparsity)
-        site = self._eval_site
-        self._eval_site += 1
-        attempt = 0
-        while True:
-            try:
-                plan.check_eval(site, attempt)
-                return evaluate(mapping, partial_reuse=self.partial_reuse,
-                                sparsity=self.sparsity)
-            except InjectedFault:
-                self.stats.faults.injected += 1
-                attempt += 1
-                if attempt > _MAX_EVAL_RETRIES:
-                    raise
-                self.stats.faults.retries += 1
 
 
 def resolve_engine(

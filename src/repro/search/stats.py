@@ -6,33 +6,6 @@ from dataclasses import dataclass, field
 
 
 @dataclass
-class FaultStats:
-    """Fault-injection accounting (docs/SEARCH.md, "Fault recovery").
-
-    ``injected`` counts faults fired by a
-    :class:`~repro.search.faults.FaultPlan`; ``retries`` counts the
-    in-process evaluation retries that recovered from them.
-    """
-
-    injected: int = 0
-    retries: int = 0
-
-    def any(self) -> bool:
-        """True when any fault-path counter moved."""
-        return bool(self.injected or self.retries)
-
-    def merge(self, other: "FaultStats") -> None:
-        self.injected += other.injected
-        self.retries += other.retries
-
-    def to_dict(self) -> dict:
-        return {"injected": self.injected, "retries": self.retries}
-
-    def summary(self) -> str:
-        return f"injected {self.injected}, retries {self.retries}"
-
-
-@dataclass
 class SearchStats:
     """Evaluation-engine accounting (Fig. 9 overhead study).
 
@@ -61,7 +34,6 @@ class SearchStats:
     level_wall_time_s: dict[str, float] = field(default_factory=dict)
     batched_evaluations: int = 0
     stage_time_s: dict[str, float] = field(default_factory=dict)
-    faults: FaultStats = field(default_factory=FaultStats)
     # Branch-and-bound accounting (docs/MAPSPACE.md): whole regions
     # tested/discarded against the incumbent, and the individual
     # candidate evaluations those prunes provably avoided.
@@ -103,7 +75,6 @@ class SearchStats:
         self.batched_evaluations += other.batched_evaluations
         for name, seconds in other.stage_time_s.items():
             self.add_stage_time(name, seconds)
-        self.faults.merge(other.faults)
         self.bound_regions_tested += other.bound_regions_tested
         self.bound_regions_pruned += other.bound_regions_pruned
         self.bound_candidates_skipped += other.bound_candidates_skipped
@@ -123,7 +94,6 @@ class SearchStats:
             "level_wall_time_s": dict(self.level_wall_time_s),
             "batched_evaluations": self.batched_evaluations,
             "stage_time_s": dict(self.stage_time_s),
-            "faults": self.faults.to_dict(),
             "bound": {
                 "regions_tested": self.bound_regions_tested,
                 "regions_pruned": self.bound_regions_pruned,
@@ -164,6 +134,4 @@ class SearchStats:
                 f"{self.bound_regions_pruned}/{self.bound_regions_tested} "
                 f"pruned, {self.bound_candidates_skipped} evaluations "
                 f"skipped")
-        if self.faults.any():
-            lines.append(f"  faults: {self.faults.summary()}")
         return "\n".join(lines)

@@ -84,7 +84,6 @@ class Job:
 
     def describe(self) -> dict:
         """The ``/jobs`` row."""
-        merged = merge_stats([p.get("stats") for p in self.parts.values()])
         return {
             "id": self.id,
             "kind": self.spec["kind"],
@@ -94,19 +93,14 @@ class Job:
             "tasks_done": len(self.parts),
             "seed_hits": self.seed_hits,
             "admission": dict(self.admission),
-            # Branch-and-bound pruning counters merged across the parts
-            # finished so far (``repro jobs --json`` surfaces these).
-            "bound": merged.get("bound") or {
-                "regions_tested": 0, "regions_pruned": 0,
-                "candidates_skipped": 0},
             "error": self.error,
             "wall_time_s": ((self.finished_at or time.monotonic())
                             - self.submitted_at),
         }
 
     def stats(self) -> dict:
-        """The per-job ``/stats`` record: merged ``SearchStats`` (with
-        its nested ``FaultStats``) plus the cache accounting."""
+        """The per-job ``/stats`` record: merged ``SearchStats`` plus the
+        cache accounting."""
         return {
             "state": self.state,
             "search": merge_stats([p.get("stats") for p in

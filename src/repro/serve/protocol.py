@@ -124,7 +124,6 @@ def _normalize_workload(entry: Any) -> dict:
     if not isinstance(entry, dict):
         raise ProtocolError(f"workload must be an object, got {entry!r}")
     if "tensors" in entry:
-        _check_dims(entry.get("dims"))
         try:
             return workload_to_dict(workload_from_dict(entry))
         except _MALFORMED as error:

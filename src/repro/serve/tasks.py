@@ -12,11 +12,10 @@ cost and candidate-evaluation count are bit-identical to the cold run;
 only the engine's hit accounting moves (pinned by
 ``tests/test_serve.py``).
 
-Fault injection: ``REPRO_SERVE_KILL_TASK=JOB:INDEX`` hard-exits the
+Kill injection: ``REPRO_SERVE_KILL_TASK=JOB:INDEX`` hard-exits the
 worker on the *first* attempt at that task (mirroring the
-``REPRO_FAULTS``/``REPRO_CHECKPOINT_KILL_AFTER`` idioms), which gives
-tests and the CI smoke a deterministic worker death instead of a racy
-``pkill``.
+``REPRO_CHECKPOINT_KILL_AFTER`` idiom), which gives tests and the CI
+smoke a deterministic worker death instead of a racy ``pkill``.
 """
 
 from __future__ import annotations
@@ -81,7 +80,7 @@ def _outcome_doc(result) -> dict:
         "cost": None,
         "evaluations": result.stats.evaluations,
         "wall_time_s": result.stats.wall_time_s,
-        "certificate": certificate_from_bound(result.stats.prune.bound),
+        "certificate": certificate_from_bound(result.stats.bound),
     }
 
 

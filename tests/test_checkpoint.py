@@ -27,7 +27,7 @@ from repro.search import (
     atomic_write_json,
     read_journal_entries,
 )
-from repro.search.faults import KILL_EXIT_CODE
+from repro.search.checkpoint import KILL_EXIT_CODE, checkpoint_kill_after
 from repro.workloads import conv1d
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -237,7 +237,7 @@ def test_resume_ignores_retired_bound_counters(tmp_path):
     assert mapping_to_dict(result.mapping) == mapping_to_dict(base.mapping)
     assert _cost_tuple(result) == _cost_tuple(base)
     assert result.stats.evaluations == base.stats.evaluations
-    assert result.stats.prune.bound == base.stats.prune.bound
+    assert result.stats.bound == base.stats.bound
 
 
 def test_resume_respects_sharded_and_sparse_meta(tmp_path):
@@ -362,13 +362,20 @@ def test_cli_stats_json_is_atomic_and_complete(tmp_path, capsys):
     assert code == 0
     doc = json.loads(stats.read_text())
     assert doc["command"] == "schedule"
-    assert "faults" in doc["search"]
     assert not list(tmp_path.glob("*.tmp"))
 
 
 # ---------------------------------------------------------------------------
 # hard-kill smoke: a real SIGKILL-style exit mid-search, then resume
 # ---------------------------------------------------------------------------
+
+
+def test_checkpoint_kill_after():
+    assert checkpoint_kill_after({}) is None
+    assert checkpoint_kill_after(
+        {"REPRO_CHECKPOINT_KILL_AFTER": "3"}) == 3
+    with pytest.raises(ValueError):
+        checkpoint_kill_after({"REPRO_CHECKPOINT_KILL_AFTER": "0"})
 
 
 def test_subprocess_hard_kill_then_resume_is_identical(tmp_path):

@@ -42,6 +42,29 @@ class TestBuilders:
         with pytest.raises(SystemExit, match="cannot read"):
             build_architecture("no/such/file.json")
 
+    @pytest.mark.parametrize("path,value,field", [
+        (("levels", 0, "capacity_words", "weight"), "x", "capacity_words"),
+        (("levels", 1, "fanout"), 2.5, "fanout"),
+        (("levels", 0, "name"), None, "name"),
+    ])
+    def test_malformed_config_file_exits_naming_the_field(
+            self, tmp_path, path, value, field):
+        """A malformed field (or a missing one: ``None`` deletes it) exits
+        with the parser's message instead of a traceback."""
+        with open("configs/simba.json", encoding="utf-8") as handle:
+            doc = json.load(handle)
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        if value is None:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(doc))
+        with pytest.raises(SystemExit, match=field):
+            build_architecture(str(config))
+
 
 class TestCommands:
     def test_schedule_command(self, capsys, tmp_path):

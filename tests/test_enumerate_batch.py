@@ -4,7 +4,7 @@ The cohort producers (``repro.mapspace.batch``: the full-space
 ``SpaceDecoder``/``full_space_cohorts`` and the sweeps' ``NestCohort``)
 and ``SearchEngine.evaluate_cohort`` must reproduce the scalar pipeline
 *bit-for-bit*: the same candidates in the same order as
-``Space.enumerate(shard=)``, the same shard unions, the same best
+``full_mapping_space(shard=)``, the same shard unions, the same best
 mapping / cost / evaluation counts.  Every test here runs both paths
 and compares — the mapper differentials switch onto the no-numpy paths
 with ``harness.scalar_paths``; on a numpy-less install cohorts stage no
@@ -15,8 +15,6 @@ still satisfy the same contract.
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.baselines.dmazerunner import dmazerunner_search
 from repro.baselines.exhaustive import exhaustive_search
@@ -24,10 +22,9 @@ from repro.baselines.interstellar import interstellar_search
 from repro.core.scheduler import SchedulerOptions, SunstoneScheduler
 from repro.mapspace import (
     FactorLattice,
-    ListSpace,
-    PruneStats,
     full_mapping_space,
     full_space_cohorts,
+    full_space_size,
 )
 from repro.mapspace.batch import NestCohort
 from repro.mapspace.mapspace import assignment_slots
@@ -50,7 +47,7 @@ def test_factor_lattice_batch_matches_scalar():
     for dim in workload.dim_names:
         lattice = FactorLattice(dim, workload.dims[dim], slots)
         rows = [tuple(row) for row in lattice.split_matrix().tolist()]
-        assert rows == lattice.materialize(), dim
+        assert rows == list(lattice.splits()), dim
         with harness.scalar_paths():
             assert lattice.split_matrix() is None
 
@@ -60,8 +57,8 @@ def test_factor_lattice_batch_matches_scalar():
 # ---------------------------------------------------------------------------
 
 def _scalar_fingerprints(workload, arch, orders_per_level, shard=None):
-    space = full_mapping_space(workload, arch, orders_per_level)
-    return [mapping_fingerprint(m) for m in space.enumerate(shard=shard)]
+    return [mapping_fingerprint(m) for m in full_mapping_space(
+        workload, arch, orders_per_level, shard=shard)]
 
 
 @pytest.mark.skipif(not HAVE_NUMPY, reason="needs numpy")
@@ -91,55 +88,6 @@ def test_full_space_cohort_shards_interleave_exactly(count):
             part.extend(mapping_fingerprint(cohort.materialize(i))
                         for i in range(len(cohort)))
         assert part == scalar[index::count]
-
-
-# ---------------------------------------------------------------------------
-# shard algebra (property-based): pairwise disjoint, union-complete
-# ---------------------------------------------------------------------------
-
-@settings(max_examples=30, deadline=None)
-@given(
-    items=st.lists(st.integers(min_value=-50, max_value=50), max_size=40),
-    count=st.sampled_from([1, 2, 4, 7]),
-)
-def test_shard_algebra(items, count):
-    space = ListSpace(items)
-    full = list(space.enumerate())
-    shards = [list(space.enumerate(shard=(i, count)))
-              for i in range(count)]
-    # each shard is exactly the index-congruent subsequence
-    for i, shard in enumerate(shards):
-        assert shard == full[i::count]
-    # pairwise disjoint by stream position, union-complete: reinterleave
-    merged = []
-    for pos in range(len(full)):
-        merged.append(shards[pos % count][pos // count])
-    assert merged == full
-    assert sum(len(s) for s in shards) == len(full)
-
-
-@settings(max_examples=20, deadline=None)
-@given(
-    count=st.sampled_from([1, 2, 4, 7]),
-    threshold=st.integers(min_value=0, max_value=4),
-)
-def test_shard_algebra_filtered(count, threshold):
-    """Sharding applies to the *filtered* stream: congruence classes are
-    taken over surviving candidates, and every shard's walk records the
-    whole pass in its prune counters."""
-    items = list(range(37))
-
-    def build(stats):
-        return ListSpace(items).filter(
-            lambda x: x % 5 >= threshold, "t", stats)
-
-    full_stats = PruneStats()
-    full = list(build(full_stats).enumerate())
-    for i in range(count):
-        stats = PruneStats()
-        shard = list(build(stats).enumerate(shard=(i, count)))
-        assert shard == full[i::count]
-        assert stats.to_dict() == full_stats.to_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +221,7 @@ def test_exhaustive_batch_gen_shards_union_to_full():
     # Each shard runs its own branch-and-bound incumbent, so per-shard
     # evaluation counts are not additive — but evaluated + provably
     # skipped always partitions the space exactly.
-    size = full_mapping_space(workload, arch, 2).size()
+    size = full_space_size(workload, arch, 2)
 
     def covered(result):
         stats = result.search_stats

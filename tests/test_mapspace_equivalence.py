@@ -1,8 +1,11 @@
-"""Oracle-backed equivalence: the mapspace refactor preserved behaviour.
+"""Oracle-backed equivalence: the live candidate generators preserve the
+historical behaviour.
 
 ``tests/mapspace_oracle.py`` holds verbatim copies of the inline candidate
-generators every mapper used before being refactored onto the declarative
-mapspace IR.  These tests prove the refactor is behaviour-preserving
+generators every mapper used historically.  The live generators are
+plain loops too, but they share helpers (the unroll fallbacks, the tile
+cap, the bottom-up capacity check and shard counter, the full-space
+lattices).  These tests prove they are behaviour-preserving
 bit-for-bit: same candidate streams, same best mapping (by fingerprint),
 same cost, same evaluation and node accounting — for all seven mappers.
 """
@@ -31,7 +34,7 @@ from repro.baselines.random_search import (
     simba_constraints,
 )
 from repro.core.scheduler import SchedulerOptions, SunstoneScheduler
-from repro.mapspace import full_mapping_space, prime_factors
+from repro.mapspace import full_mapping_space, full_space_size, prime_factors
 from repro.mapspace.mapspace import spatial_boundaries
 from repro.search import SearchEngine, mapping_fingerprint
 from repro.workloads import mttkrp
@@ -191,12 +194,12 @@ def test_constrained_sampler_stream_matches_oracle():
 def test_full_mapping_space_matches_oracle_stream():
     workload = mttkrp(4, 4, 2, 4)
     arch = tiny()
-    space = full_mapping_space(workload, arch, orders_per_level=3)
-    live = [mapping_fingerprint(m) for m in space.enumerate()]
+    live = [mapping_fingerprint(m)
+            for m in full_mapping_space(workload, arch, orders_per_level=3)]
     oracle = [mapping_fingerprint(m)
               for m in oracle_full_space_stream(workload, arch, 3)]
     assert live == oracle
-    assert space.size() == len(oracle)
+    assert full_space_size(workload, arch, 3) == len(oracle)
 
 
 def test_exhaustive_shards_union_recovers_the_best():
@@ -212,7 +215,7 @@ def test_exhaustive_shards_union_recovers_the_best():
     # Branch-and-bound incumbents differ per shard, so evaluation counts
     # are not additive; evaluated + provably-skipped partitions the
     # space exactly in every run.
-    size = full_mapping_space(workload, arch, 2).size()
+    size = full_space_size(workload, arch, 2)
 
     def covered(result):
         return (result.evaluations

@@ -202,7 +202,51 @@ HOSTILE_SPECS = {
         CONV_DOC, ("dims", "C"), True)), "workload dim 'C'"),
     "shards-float": (schedule_spec(shards=2.5), "shards"),
     "shards-bool": (schedule_spec(shards=True), "shards"),
+    # Inline documents: integer fields are JSON integers and energies
+    # and bandwidths JSON numbers (mapping/serialize.py's one rule).
+    "inline-read-energy-str": (schedule_spec(arch=_with_leaf(
+        TINY_DOC, ("levels", 0, "read_energy"), "x")), "read_energy"),
+    "inline-read-bandwidth-str": (schedule_spec(arch=_with_leaf(
+        TINY_DOC, ("levels", 1, "read_bandwidth"), "x")), "read_bandwidth"),
+    "inline-mac-width-float": (schedule_spec(arch=_with_leaf(
+        TINY_DOC, ("mac_width",), 2.5)), "mac_width"),
+    "inline-fanout-float": (schedule_spec(arch=_with_leaf(
+        TINY_DOC, ("levels", 1, "fanout"), 2.5)), "fanout"),
+    "inline-stride-float": (schedule_spec(workload=_with_leaf(
+        CONV_DOC, ("tensors", 0, "indices", 1, "stride"), 2.5)), "stride"),
+    "inline-capacity-float": (schedule_spec(arch=_with_leaf(
+        TINY_DOC, ("levels", 0, "capacity_words", "*"), 2.5)),
+        "capacity_words"),
+    "inline-fanout-bool": (schedule_spec(arch=_with_leaf(
+        TINY_DOC, ("levels", 1, "fanout"), True)), "fanout"),
 }
+
+
+def _assert_typed_workload(doc):
+    """Every numeric leaf of a workload document is a JSON integer."""
+    assert all(type(size) is int for size in doc["dims"].values())
+    for tensor in doc["tensors"]:
+        assert all(type(index["stride"]) is int
+                   for index in tensor["indices"])
+
+
+def _assert_typed_arch(doc):
+    """Integer fields of an architecture document are JSON integers,
+    energies and bandwidths JSON numbers (bandwidth ``null`` = inf)."""
+    def number(value):
+        return type(value) in (int, float)
+
+    assert number(doc["mac_energy"]) and type(doc["mac_width"]) is int
+    assert type(doc.get("mac_word_bits", 0)) is int
+    for level in doc["levels"]:
+        capacity = level["capacity_words"] or {}
+        assert all(type(words) is int for words in capacity.values())
+        assert type(level["fanout"]) is int
+        assert all(type(n) is int for n in level["fanout_shape"] or ())
+        assert all(number(level[key]) for key in
+                   ("read_energy", "write_energy", "network_energy"))
+        assert all(level.get(key) is None or number(level[key]) for key in
+                   ("read_bandwidth", "write_bandwidth", "link_bandwidth"))
 
 
 class TestProtocol:
@@ -250,6 +294,8 @@ class TestProtocol:
             for dim, size in sent_doc["dims"].items():
                 assert type(size) is int
                 assert doc["dims"][dim] == size
+            _assert_typed_workload(doc)
+        _assert_typed_arch(job["arch"])
 
     def test_tech_field_resolves_and_keys_the_fingerprint(self):
         base = normalize_job(schedule_spec())
@@ -840,14 +886,9 @@ class TestHttp:
             assert doc["result"]["status"] == "ok"
             jobs = client.jobs()
             assert [j["id"] for j in jobs] == [row["id"]]
-            # /jobs rows surface the merged bound-pruning counters
-            # (what ``repro jobs --json`` prints).
-            assert jobs[0]["bound"]["regions_tested"] >= 0
-            assert "candidates_skipped" in jobs[0]["bound"]
             stats = client.stats()
             assert row["id"] in stats["jobs"]
             assert stats["cache"]["admitted"] > 0
-            assert "faults" in stats["jobs"][row["id"]]["search"]
             assert "bound" in stats["jobs"][row["id"]]["search"]
             # The winning shard's certificate survives the merge.
             assert doc["result"]["certificate"] is not None
@@ -891,6 +932,18 @@ class TestHttp:
             from repro.serve import ServeError
             with pytest.raises(ServeError, match="cache_size") as caught:
                 client.submit(schedule_spec(options={"cache_size": "abc"}))
+            assert caught.value.status == 400
+            assert client.healthz()["ok"] is True
+            return True
+
+        assert http_session(drive)
+
+    def test_malformed_inline_document_answers_400(self):
+        def drive(client):
+            from repro.serve import ServeError
+            spec, field = HOSTILE_SPECS["inline-read-energy-str"]
+            with pytest.raises(ServeError, match=field) as caught:
+                client.submit(spec)
             assert caught.value.status == 400
             assert client.healthz()["ok"] is True
             return True

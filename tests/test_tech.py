@@ -262,7 +262,7 @@ def test_two_chiplet_schedules_with_chip2chip_energy():
     # chip2chip is a tracked subset of the NoC total, never extra energy.
     assert result.cost.chip2chip_energy <= result.cost.noc_energy
     # The result carries its optimality certificate.
-    assert result.stats.prune.bound.lower_bound is not None
+    assert result.stats.bound.lower_bound is not None
 
 
 def test_two_chiplet_scalar_batch_equivalence():
