@@ -105,7 +105,7 @@ class _DMazeSearch(SunstoneScheduler):
         return 0.0
 
     def _children_bottom_up(self, state: _State, level: int, orderings,
-                            stats: SchedulerStats) -> Iterator[_State]:
+                            stats: SchedulerStats) -> Iterator[tuple]:
         base = self._base_sizes(state, level)
         remaining = dict(state.frontier)
         fanout = self.arch.levels[level].fanout
@@ -157,13 +157,12 @@ class _DMazeSearch(SunstoneScheduler):
             return [u for u in unrolls
                     if fanout <= 1 or unroll_size(u) >= floor]
 
-        decisions = (
+        return (
             (order, tiling, unroll)
             for tiling in admitted_tilings()
             for unroll in unrolls_for(tiling)
             for order in orderings
         )
-        return self._fitting_children(state, level, decisions)
 
 
 def dmazerunner_search(

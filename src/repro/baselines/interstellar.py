@@ -44,7 +44,7 @@ class _InterstellarSearch(SunstoneScheduler):
         self.config = config
 
     def _children_bottom_up(self, state: _State, level: int, orderings,
-                            stats: SchedulerStats) -> Iterator[_State]:
+                            stats: SchedulerStats) -> Iterator[tuple]:
         base = self._base_sizes(state, level)
         remaining = dict(state.frontier)
         fanout = self.arch.levels[level].fanout
@@ -69,7 +69,7 @@ class _InterstellarSearch(SunstoneScheduler):
 
         # Interstellar tiles over every dimension (no Tiling Principle),
         # with a fresh tiling tree per ordering.
-        decisions = (
+        return (
             (order, tiling, unroll)
             for order in orderings
             for tiling in enumerate_tilings(
@@ -77,7 +77,6 @@ class _InterstellarSearch(SunstoneScheduler):
                 self.workload.dim_names, stats=stats.tiling)
             for unroll in unrolls_for(tiling)
         )
-        return self._fitting_children(state, level, decisions)
 
 
 def interstellar_search(

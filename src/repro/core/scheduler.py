@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from ..arch.spec import Architecture
@@ -214,6 +215,10 @@ class SunstoneScheduler:
         # candidate enumeration is memoised per scheduler instance.
         self._tiling_cache: dict = {}
         self._unroll_cache: dict = {}
+        # Growth and unroll dims depend only on an ordering's reused
+        # tensors and the level.
+        self._growth_memo: dict = {}
+        self._allowed_memo: dict = {}
         self._placement = placement_table(workload, arch)
         # Evaluation engine: injected to share a result cache across
         # searches, or built from the options.
@@ -551,13 +556,9 @@ class SunstoneScheduler:
             if ordinal < start_ordinal:
                 continue
             level_start = time.perf_counter()
-            children: list[_State] = []
-            for _, state in frontier:
-                children.extend(
-                    self._children(state, level, orderings, stats, bottom_up))
-            scored, best = self._score_step(children, bottom_up, best,
+            scored, best = self._score_step(frontier, level, orderings,
+                                            stats, bottom_up, best,
                                             level_start)
-            stats.evaluations += len(children)
             engine.stats.add_level_time(
                 self.arch.levels[level].name,
                 time.perf_counter() - level_start)
@@ -567,7 +568,11 @@ class SunstoneScheduler:
                                     best, stats)
                 break
             remaining_steps = (num - 1 - level) if bottom_up else (level + 1)
-            frontier = self._prune(scored, stats, remaining_steps)
+            frontier = [
+                (value, _State(*self._attach(state, level, decision,
+                                             bottom_up)))
+                for value, _, (state, decision)
+                in self._prune(scored, stats, remaining_steps)]
             self._journal_level(phase, ordinal, level, frontier, best, stats)
         engine.stats.prunes += stats.pruned_alpha_beta + stats.pruned_beam
 
@@ -577,48 +582,68 @@ class SunstoneScheduler:
 
     def _score_step(
         self,
-        children: list[_State],
+        frontier: list[tuple[float, _State]],
+        level: int,
+        orderings: Sequence[OrderingCandidate],
+        stats: SchedulerStats,
         bottom_up: bool,
         best: tuple[float, Mapping, CostResult] | None,
         level_start: float,
-    ) -> tuple[list[tuple[float, _State]],
+    ) -> tuple[list[tuple[float, tuple, tuple]],
                tuple[float, Mapping, CostResult] | None]:
         """Evaluate one step's children exactly and fold them into the
-        running best; returns the scored children and the new best.
+        running best; returns the scored children ``(value, key,
+        (state, decision))``, ``key`` being the child's ``_state_key``,
+        and the new best.
 
-        The whole step is one batch: the engine dedupes equal
-        fingerprints and vectorises the misses, returning results in
-        candidate order so ranking matches the serial path exactly.
-        Candidates stream as a nest cohort; a Mapping is built only when
-        a child improves the running best.  The nests, the cohort and
-        the costs live only in this frame, so they are freed before the
-        caller ranks the frontier.
+        A child is a decision on its parent state.  Children whose
+        :meth:`_class_keys` agree share a completion fingerprint, so
+        each class stages one cohort row, built from its first member,
+        and the whole step is one engine batch; every child still
+        counts in ``stats.evaluations``.  The first child to beat the
+        running best is always its class's first member, so
+        ``materialize`` of its row is exactly that child's mapping.
         """
         engine = self._engine
-        cohort = NestCohort.from_nests(
-            self.workload, self.arch,
-            [self._completion_nests(child) for child in children])
+        rows: list[tuple] = []
+        children: list[tuple[int, _State, tuple]] = []
+        for _, state in frontier:
+            class_key = self._class_keys(state, level) if bottom_up else None
+            classes: dict = {}
+            for decision in self._children(state, level, orderings, stats,
+                                           bottom_up):
+                # Top-down children are one class each: the row count
+                # is a key no earlier child has.
+                key = class_key(decision) if bottom_up else len(rows)
+                row = classes.get(key)
+                if row is None:
+                    row = classes[key] = len(rows)
+                    rows.append(self._completion_nests(
+                        *self._attach(state, level, decision, bottom_up)))
+                children.append((row, state, decision))
+        stats.evaluations += len(children)
+        cohort = NestCohort.from_nests(self.workload, self.arch, rows)
         engine.stats.add_stage_time(
             "generation", time.perf_counter() - level_start)
         costs = engine.evaluate_cohort(cohort)
-        scored: list[tuple[float, _State]] = []
-        for idx, (child, cost) in enumerate(zip(children, costs)):
-            value = (cost.edp if self.options.objective == "edp"
-                     else cost.energy_pj)
-            if not cost.valid:
-                if bottom_up:
-                    # Occupancy only grows as more levels are decided
-                    # bottom-up, so an invalid completion can never
-                    # become valid.
-                    continue
-                # Top-down estimates park residual factors at a lower
-                # level and may be (transiently) invalid; keep
+        values = [cost.edp if self.options.objective == "edp"
+                  else cost.energy_pj for cost in costs]
+        ranking_key = self._ranking_keys(level, bottom_up)
+        scored: list[tuple[float, tuple, tuple]] = []
+        for row, state, decision in children:
+            cost = costs[row]
+            if not cost.valid and bottom_up:
+                # Occupancy only grows as more levels are decided
+                # bottom-up, so an invalid completion can never become
+                # valid.  Top-down estimates park residual factors at a
+                # lower level and may be (transiently) invalid; keep
                 # searching through them.
-                scored.append((value, child))
                 continue
-            scored.append((value, child))
-            if best is None or value < best[0]:
-                best = (value, cohort.materialize(idx), cost)
+            value = values[row]
+            scored.append((value, ranking_key(state, decision),
+                           (state, decision)))
+            if cost.valid and (best is None or value < best[0]):
+                best = (value, cohort.materialize(row), cost)
         return scored, best
 
     # ------------------------------------------------------------------
@@ -675,23 +700,24 @@ class SunstoneScheduler:
 
     def _prune(
         self,
-        scored: list[tuple[float, _State]],
+        scored: list[tuple[float, tuple, tuple]],
         stats: SchedulerStats,
         remaining_steps: int = 1,
-    ) -> list[tuple[float, _State]]:
-        # Rank by estimate with the canonical decision key as tie-break:
-        # equal-cost candidates are ordered by *what they decide*, never by
-        # arrival order, so batch/merge order cannot flip the winner.
-        keyed = [(value, _state_key(state), state) for value, state in scored]
-        keyed.sort(key=lambda item: (item[0], item[1]))
-        # Deduplicate states that encode identical decisions.
-        unique: list[tuple[float, _State]] = []
+    ) -> list[tuple[float, tuple, tuple]]:
+        """Rank ``(value, key, child)`` items and keep the beam.
+
+        Ranked by estimate with the canonical decision key as tie-break:
+        equal-cost candidates are ordered by *what they decide*, never by
+        arrival order, so batch/merge order cannot flip the winner."""
+        scored.sort(key=itemgetter(0, 1))
+        # Deduplicate children that encode identical decisions.
+        unique: list[tuple[float, tuple, tuple]] = []
         seen: set = set()
-        for value, key, state in keyed:
-            if key in seen:
+        for item in scored:
+            if item[1] in seen:
                 continue
-            seen.add(key)
-            unique.append((value, state))
+            seen.add(item[1])
+            unique.append(item)
         scored = unique
         kept = scored
         if self.options.alpha_beta and scored:
@@ -714,32 +740,28 @@ class SunstoneScheduler:
 
     @staticmethod
     def _diverse_head(
-        scored: list[tuple[float, _State]],
+        scored: list[tuple[float, tuple, tuple]],
         width: int,
-    ) -> list[tuple[float, _State]]:
-        """Take the ``width`` best states while preserving decision
-        diversity: the single best state of every distinct
+    ) -> list[tuple[float, tuple, tuple]]:
+        """Take the ``width`` best children while preserving decision
+        diversity: the single best child of every distinct
         (orders, spatial-unrolling) group is admitted before the remainder
         fills up by score.  Early estimates correlate weakly with final
         cost, so a purely greedy beam tends to flood with near-identical
         siblings and starve the eventually-best unrolling choice."""
         groups: dict = {}
         for item in scored:  # already sorted by score
-            _, state = item
-            key = (
-                state.orders,
-                tuple(tuple(sorted(s.items())) for s in state.spatial),
-            )
-            groups.setdefault(key, item)
-        head = sorted(groups.values(), key=lambda item: item[0])[:width]
-        chosen = {id(state) for _, state in head}
+            _, spatial, orders = item[1]  # the child's _state_key
+            groups.setdefault((orders, spatial), item)
+        head = sorted(groups.values(), key=itemgetter(0))[:width]
+        chosen = {id(item) for item in head}
         for item in scored:
             if len(head) >= width:
                 break
-            if id(item[1]) not in chosen:
+            if id(item) not in chosen:
                 head.append(item)
-                chosen.add(id(item[1]))
-        head.sort(key=lambda item: item[0])
+                chosen.add(id(item))
+        head.sort(key=itemgetter(0))
         return head
 
     # ------------------------------------------------------------------
@@ -752,11 +774,16 @@ class SunstoneScheduler:
         orderings: Sequence[OrderingCandidate],
         stats: SchedulerStats,
         bottom_up: bool,
-    ) -> Iterator[_State]:
+    ) -> Iterator[tuple]:
+        """One step's ``(ordering, tiling, unrolling)`` decisions on
+        ``state``, numbered for the shard by :meth:`_fitting_children`."""
         if bottom_up:
-            yield from self._children_bottom_up(state, level, orderings, stats)
+            decisions = self._children_bottom_up(state, level, orderings,
+                                                 stats)
         else:
-            yield from self._children_top_down(state, level, orderings, stats)
+            decisions = self._children_top_down(state, level, orderings,
+                                                stats)
+        return self._fitting_children(state, level, decisions, bottom_up)
 
     def _stored_reused(self, order: OrderingCandidate, level: int
                        ) -> frozenset[str]:
@@ -765,23 +792,32 @@ class SunstoneScheduler:
 
     def _growth_dims(self, order: OrderingCandidate, level: int
                      ) -> tuple[str, ...]:
-        reused = self._stored_reused(order, level)
-        if not reused:
-            reused = (order.partially_reused_tensors
-                      & self._placement.stored[level])
-        if reused:
-            dims: set[str] = set()
-            for name in reused:
-                dims |= set(self.workload.tensor(name).indexing_dims)
-            return tuple(d for d in self.workload.dim_names if d in dims)
-        return self.workload.dim_names
+        key = (order.reused_tensors, order.partially_reused_tensors, level)
+        dims = self._growth_memo.get(key)
+        if dims is None:
+            reused = self._stored_reused(order, level)
+            if not reused:
+                reused = (order.partially_reused_tensors
+                          & self._placement.stored[level])
+            dims = self.workload.dim_names
+            if reused:
+                indexing: set[str] = set()
+                for name in reused:
+                    indexing |= set(self.workload.tensor(name).indexing_dims)
+                dims = tuple(d for d in dims if d in indexing)
+            self._growth_memo[key] = dims
+        return dims
 
     def _allowed_unroll(self, order: OrderingCandidate, level: int
                         ) -> tuple[str, ...]:
-        reused = self._stored_reused(order, level)
-        if not reused:
-            return self.workload.dim_names
-        return allowed_unroll_dims(self.workload, reused)
+        key = (order.reused_tensors, level)
+        dims = self._allowed_memo.get(key)
+        if dims is None:
+            reused = self._stored_reused(order, level)
+            dims = (allowed_unroll_dims(self.workload, reused) if reused
+                    else self.workload.dim_names)
+            self._allowed_memo[key] = dims
+        return dims
 
     def _unroll_candidates(
         self,
@@ -854,46 +890,14 @@ class SunstoneScheduler:
                 sizes[d] *= state.spatial[i].get(d, 1)
         return sizes
 
-    def _extend_bottom_up(
-        self,
-        state: _State,
-        level: int,
-        order_nest: tuple[str, ...],
-        tiling: dict[str, int],
-        unroll: dict[str, int],
-    ) -> _State | None:
-        """Attach one (tiling, unrolling, parent order) decision to a
-        bottom-up partial schedule; None when the placement is infeasible."""
-        base = self._base_sizes(state, level)
-        # Bypassed tensors must still fit their upstream homes once the
-        # boundary's spatial factors replicate/partition the tile.
-        sizes = {
-            d: base.get(d, 1) * tiling.get(d, 1) for d in self.workload.dims
-        }
-        if not self._placement.fits(level, sizes, unroll):
-            return None
-        new_frontier = dict(state.frontier)
-        for d, f in tiling.items():
-            new_frontier[d] //= f
-        for d, f in unroll.items():
-            new_frontier[d] //= f
-        temporal = list(state.temporal)
-        spatial = list(state.spatial)
-        orders = list(state.orders)
-        temporal[level] = dict(tiling)
-        spatial[level] = dict(unroll)
-        orders[level + 1] = order_nest
-        if orders[level] is None:
-            # The innermost nest order is irrelevant to upper levels; use
-            # the same ordering canonically.
-            orders[level] = order_nest
-        return _State(
-            temporal=tuple(temporal),
-            spatial=tuple(spatial),
-            orders=tuple(orders),
-            frontier=new_frontier,
-            sink_level=self.arch.num_levels - 1,
-        )
+    def _fits(self, level: int, base: dict[str, int],
+              tiling: dict[str, int], unroll: dict[str, int]) -> bool:
+        """Whether a bottom-up (tiling, unrolling) decision at ``level``
+        fits on top of the decided spans ``base``.  Bypassed tensors must
+        still fit their upstream homes once the boundary's spatial
+        factors replicate/partition the tile."""
+        sizes = {d: base[d] * tiling.get(d, 1) for d in self.workload.dims}
+        return self._placement.fits(level, sizes, unroll)
 
     def _fitting_children(
         self,
@@ -901,21 +905,36 @@ class SunstoneScheduler:
         level: int,
         decisions: Iterable[tuple[OrderingCandidate, dict[str, int],
                                   dict[str, int]]],
-    ) -> Iterator[_State]:
-        """Attach each (ordering, tiling, unrolling) decision of a
-        bottom-up step to ``state``, dropping the children whose
-        placement does not fit.  The shard counter numbers only the
-        children that fit: ``shard=(i, n)`` keeps those whose position
-        among them is congruent to ``i`` mod ``n``."""
+        bottom_up: bool,
+    ) -> Iterator[tuple]:
+        """Number one step's (ordering, tiling, unrolling) decisions on
+        ``state`` for the shard: ``shard=(i, n)`` keeps those whose
+        position is congruent to ``i`` mod ``n``.  Top-down, every
+        decision is numbered.  Bottom-up, the decisions whose placement
+        does not fit are dropped first and only the rest are numbered;
+        the verdict does not depend on the ordering, so each distinct
+        (tiling, unrolling) pair of objects is tested once (the memo
+        holds both, so their ids stay unique)."""
         index, count = self.options.shard or (0, 1)
+        if not bottom_up:
+            for position, decision in enumerate(decisions):
+                if position % count == index:
+                    yield decision
+            return
+        base = self._base_sizes(state, level)
+        verdicts: dict[tuple[int, int], tuple] = {}
         position = 0
-        for order, tiling, unroll in decisions:
-            child = self._extend_bottom_up(state, level, order.order,
-                                           tiling, unroll)
-            if child is None:
+        for decision in decisions:
+            _, tiling, unroll = decision
+            pair = (id(tiling), id(unroll))
+            verdict = verdicts.get(pair)
+            if verdict is None:
+                verdict = verdicts[pair] = (
+                    tiling, unroll, self._fits(level, base, tiling, unroll))
+            if not verdict[2]:
                 continue
             if position % count == index:
-                yield child
+                yield decision
             position += 1
 
     def _children_bottom_up(
@@ -924,7 +943,7 @@ class SunstoneScheduler:
         level: int,
         orderings: Sequence[OrderingCandidate],
         stats: SchedulerStats,
-    ) -> Iterator[_State]:
+    ) -> Iterator[tuple]:
         """One bottom-up step: every (ordering, tiling, unrolling)
         decision, nested per the configured intra-level order.  Each
         inner candidate list is generated when its outer choice is
@@ -958,14 +977,13 @@ class SunstoneScheduler:
                     ]
                 return tilings
 
-            decisions = (
+            return (
                 (order, tiling, unroll)
                 for order in orderings
                 for tiling in tilings_for(order)
                 for unroll in self._unroll_candidates(
                     order, level, fanout, rem_after(tiling), stats)
             )
-            return self._fitting_children(state, level, decisions)
 
         union_allowed = tuple(dict.fromkeys(
             d for order in orderings for d in self._allowed_unroll(order, level)
@@ -983,21 +1001,20 @@ class SunstoneScheduler:
         if mode == "tiling-unrolling-ordering":
             tilings = self._tiling_candidates(level, base, remaining,
                                               union_growth, stats)
-            decisions = (
+            return (
                 (order, tiling, unroll)
                 for tiling in tilings
                 for unroll in union_unrolls(rem_after(tiling))
                 for order in orderings
             )
-        else:  # unrolling-tiling-ordering
-            decisions = (
-                (order, tiling, unroll)
-                for unroll in union_unrolls(remaining)
-                for tiling in self._tiling_candidates(
-                    level, base, rem_after(unroll), union_growth, stats)
-                for order in orderings
-            )
-        return self._fitting_children(state, level, decisions)
+        # unrolling-tiling-ordering
+        return (
+            (order, tiling, unroll)
+            for unroll in union_unrolls(remaining)
+            for tiling in self._tiling_candidates(
+                level, base, rem_after(unroll), union_growth, stats)
+            for order in orderings
+        )
 
     def _children_top_down(
         self,
@@ -1005,7 +1022,7 @@ class SunstoneScheduler:
         level: int,
         orderings: Sequence[OrderingCandidate],
         stats: SchedulerStats,
-    ) -> Iterator[_State]:
+    ) -> Iterator[tuple]:
         """Top-down step: split the frontier between the levels above
         ``level`` (parent temporal + boundary spatial) and the tile kept at
         ``level`` and below.
@@ -1016,7 +1033,7 @@ class SunstoneScheduler:
         are undecided and a smaller tile here can enable a better
         lower-level structure; this is why the top-down space is an order
         of magnitude larger (Table VI) — each with the unroll candidates
-        of the residual quotient.  Every child counts for the shard."""
+        of the residual quotient."""
         remaining = dict(state.frontier)
         base = {d: 1 for d in self.workload.dims}
         fanout = self.arch.levels[level].fanout
@@ -1024,7 +1041,7 @@ class SunstoneScheduler:
         def quotient(tiling: dict[str, int]) -> dict[str, int]:
             return {d: remaining[d] // tiling.get(d, 1) for d in remaining}
 
-        decisions = (
+        return (
             (order, tiling, unroll)
             for order in orderings
             for tiling in enumerate_all_tilings(
@@ -1033,80 +1050,184 @@ class SunstoneScheduler:
             for unroll in self._unroll_candidates(
                 order, level, fanout, quotient(tiling), stats)
         )
-        index, count = self.options.shard or (0, 1)
-        for position, (order, tiling, unroll) in enumerate(decisions):
-            if position % count != index:
-                continue
-            quot = quotient(tiling)
-            parent_temporal = {
-                d: quot[d] // unroll.get(d, 1)
-                for d in quot
-                if quot[d] // unroll.get(d, 1) > 1
-            }
-            temporal = list(state.temporal)
-            spatial = list(state.spatial)
-            orders = list(state.orders)
-            temporal[level + 1] = {
-                **state.temporal[level + 1], **parent_temporal,
-            }
-            spatial[level] = dict(unroll)
-            orders[level + 1] = order.order
-            # Residual factors park at level 0 for estimation (as in the
-            # paper: the estimate is far from the final energy, so
-            # alpha-beta prunes poorly — the Table VI effect).
-            yield _State(
-                temporal=tuple(temporal),
-                spatial=tuple(spatial),
-                orders=tuple(orders),
-                frontier={d: tiling.get(d, 1) for d in remaining},
-                sink_level=0,
-            )
+
+    # ------------------------------------------------------------------
+    # children: attach, class keys, ranking keys
+    # ------------------------------------------------------------------
+    def _attach(self, state: _State, level: int, decision: tuple,
+                bottom_up: bool) -> tuple:
+        """The fields of the child ``decision`` makes of ``state``, in
+        ``_State`` order.  Bottom-up, the decision fixes ``level``'s
+        tile and unrolling and the order of ``level + 1`` (and of
+        ``level`` itself while undecided); top-down it fixes the parent
+        temporal factors above ``level``, the boundary's unrolling and
+        the order of ``level + 1``, and keeps the tile as the frontier,
+        parked at level 0 for estimation (as in the paper: the estimate
+        is far from the final energy, so alpha-beta prunes poorly — the
+        Table VI effect)."""
+        order, tiling, unroll = decision
+        temporal = list(state.temporal)
+        spatial = list(state.spatial)
+        orders = list(state.orders)
+        spatial[level] = dict(unroll)
+        orders[level + 1] = order.order
+        if bottom_up:
+            temporal[level] = dict(tiling)
+            if orders[level] is None:
+                # The innermost nest order is irrelevant to upper levels;
+                # use the same ordering canonically.
+                orders[level] = order.order
+            frontier = {d: extent // tiling.get(d, 1) // unroll.get(d, 1)
+                        for d, extent in state.frontier.items()}
+            sink = self.arch.num_levels - 1
+        else:
+            above = {}
+            for d, extent in state.frontier.items():
+                factor = extent // tiling.get(d, 1) // unroll.get(d, 1)
+                if factor > 1:
+                    above[d] = factor
+            temporal[level + 1] = {**state.temporal[level + 1], **above}
+            frontier = {d: tiling.get(d, 1) for d in state.frontier}
+            sink = 0
+        return tuple(temporal), tuple(spatial), tuple(orders), frontier, sink
+
+    def _class_keys(self, state: _State, level: int):
+        """The class key of each bottom-up child of ``state``: children
+        with equal keys have equal completion fingerprints.
+
+        A child's completion keeps the parent's levels below ``level``,
+        puts the tile at ``level`` in that level's order, leaves only
+        trivial loops up to the top and parks the residual (frontier ÷
+        tile ÷ unrolling) at the top, in dim order until the last step
+        decides the top's order.  So the key is the nontrivial factors
+        of the tile and the unrolling, plus the ordering restricted to
+        the tile's nontrivial dims while ``level``'s order is undecided
+        (the first step), and restricted to the dims whose residual
+        exceeds 1 when ``level + 1`` is the top (the last step)."""
+        first = state.orders[level] is None
+        last = level + 2 == self.arch.num_levels
+        frontier = state.frontier
+        pairs: dict[tuple[int, int], tuple] = {}
+
+        def key(decision: tuple) -> tuple:
+            order, tiling, unroll = decision
+            pair = pairs.get((id(tiling), id(unroll)))
+            if pair is None:
+                tile = tuple(sorted(
+                    (d, f) for d, f in tiling.items() if f > 1))
+                lanes = tuple(sorted(
+                    (d, f) for d, f in unroll.items() if f > 1))
+                residual = frozenset(
+                    d for d, extent in frontier.items()
+                    if extent // tiling.get(d, 1) // unroll.get(d, 1) > 1)
+                pair = pairs[(id(tiling), id(unroll))] = (
+                    tiling, unroll, (tile, lanes),
+                    frozenset(d for d, _ in tile), residual)
+            _, _, parts, tile_dims, residual = pair
+            if first:
+                parts += (tuple(filter(tile_dims.__contains__,
+                                       order.order)),)
+            if last:
+                parts += (tuple(filter(residual.__contains__,
+                                       order.order)),)
+            return parts
+
+        return key
+
+    def _ranking_keys(self, level: int, bottom_up: bool):
+        """The ranking key of each child of one step: the
+        ``_state_key`` of the state :meth:`_attach` would build,
+        assembled from the parent's key and the decision.  The sorted
+        items of each tiling and unrolling object are memoised for the
+        step (the memo holds the object, so its id stays unique)."""
+        items_of: dict[int, tuple] = {}
+        parents: dict[int, tuple] = {}
+        tlevel = level if bottom_up else level + 1
+
+        def items(factors: dict[str, int]) -> tuple:
+            entry = items_of.get(id(factors))
+            if entry is None:
+                entry = items_of[id(factors)] = (
+                    factors, tuple(sorted(factors.items())))
+            return entry[1]
+
+        def key(state: _State, decision: tuple) -> tuple:
+            parent = parents.get(id(state))
+            if parent is None:
+                temporal, spatial, orders = _state_key(state)
+                own = (None if bottom_up and state.orders[level] is None
+                       else orders[level])
+                parent = parents[id(state)] = (
+                    state, temporal[:tlevel], temporal[tlevel + 1:],
+                    spatial[:level], spatial[level + 1:],
+                    orders[:level], own, orders[level + 2:])
+            _, t_low, t_high, s_low, s_high, o_low, own, o_high = parent
+            order, tiling, unroll = decision
+            if bottom_up:
+                tile = items(tiling)
+            else:
+                tile = tuple(sorted(self._attach(
+                    state, level, decision, False)[0][tlevel].items()))
+            return (t_low + (tile,) + t_high,
+                    s_low + (items(unroll),) + s_high,
+                    o_low + (order.order if own is None else own,
+                             order.order) + o_high)
+
+        return key
 
     # ------------------------------------------------------------------
     # completion of a partial schedule
     # ------------------------------------------------------------------
-    def _completion_nests(self, state: _State) -> tuple[tuple, tuple]:
-        """The completed per-level nests of a partial schedule, without
-        the ``Mapping``: ``(nests, spatials)`` where ``nests`` are
-        temporal nest tuples (outermost first, trivial factors included;
-        undecided levels in workload dim order) and ``spatials`` sorted
-        spatial factor tuples — the exact ``LevelMapping`` contents
-        ``build_mapping`` would produce for the completion, which
-        ``NestCohort.materialize`` rebuilds bit-for-bit.  The completion
-        parks frontier extents at the sink level (outermost for
-        bottom-up partials, innermost for top-down) and pushes residual
-        factors to the top, mirroring ``build_mapping``.
+    def _completion_nests(
+        self,
+        temporal: Sequence[dict[str, int]],
+        spatial: Sequence[dict[str, int]],
+        orders: Sequence[tuple[str, ...] | None],
+        frontier: dict[str, int],
+        sink_level: int,
+    ) -> tuple[tuple, tuple]:
+        """The completed per-level nests of a partial schedule given by
+        its ``_State`` fields, without the ``Mapping``: ``(nests,
+        spatials)`` where ``nests`` are temporal nest tuples (outermost
+        first, trivial factors included; undecided levels in workload dim
+        order) and ``spatials`` sorted spatial factor tuples — the exact
+        ``LevelMapping`` contents ``build_mapping`` would produce for the
+        completion, which ``NestCohort.materialize`` rebuilds
+        bit-for-bit.  The completion parks frontier extents at the sink
+        level (outermost for bottom-up partials, innermost for top-down)
+        and pushes residual factors to the top, mirroring
+        ``build_mapping``.
         """
         num = self.arch.num_levels
-        temporal = [dict(t) for t in state.temporal]
-        sink = state.sink_level
-        for d, extent in state.frontier.items():
+        temporal = list(temporal)
+        parked = dict(temporal[sink_level])
+        for d, extent in frontier.items():
             if extent > 1:
-                temporal[sink][d] = temporal[sink].get(d, 1) * extent
-        spatial = state.spatial
+                parked[d] = parked.get(d, 1) * extent
+        temporal[sink_level] = parked
+        covered = dict.fromkeys(self.workload.dims, 1)
+        for factors in (*temporal, *spatial):
+            for d, f in factors.items():
+                covered[d] *= f
         for dim, size in self.workload.dims.items():
-            covered = 1
-            for i in range(num):
-                covered *= temporal[i].get(dim, 1)
-                covered *= spatial[i].get(dim, 1)
-            if size % covered != 0:
+            if size % covered[dim] != 0:
                 raise MappingError(
-                    f"factors of {dim} ({covered}) do not divide size {size}"
+                    f"factors of {dim} ({covered[dim]}) do not divide "
+                    f"size {size}"
                 )
-            residual = size // covered
+            residual = size // covered[dim]
             if residual > 1:
-                top = temporal[num - 1]
+                top = temporal[num - 1] = dict(temporal[num - 1])
                 top[dim] = top.get(dim, 1) * residual
         dim_names = self.workload.dim_names
         nests = []
         spatials = []
         for i in range(num):
             factors = temporal[i]
-            order = (list(state.orders[i]) if state.orders[i] is not None
-                     else list(dim_names))
-            missing = [d for d in factors if d not in order]
-            nests.append(tuple((d, factors.get(d, 1))
-                               for d in order + missing))
+            order = orders[i] if orders[i] is not None else dim_names
+            missing = tuple([d for d in factors if d not in order])
+            nests.append(tuple([(d, factors.get(d, 1))
+                                for d in order + missing]))
             spatials.append(tuple(sorted(spatial[i].items())))
         return tuple(nests), tuple(spatials)
 

@@ -47,6 +47,25 @@ def _bandwidth(value: Any, field: str) -> float:
     return float("inf") if value is None else _json_number(value, field)
 
 
+def _component(doc: Any, where: str) -> ComponentSpec:
+    """A level's ``component`` object: ``kind`` a string, sizes JSON
+    integers and energies JSON numbers, else a ValueError naming the
+    level and the field."""
+    where = f"{where} component"
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be an object, got {doc!r}")
+    if not isinstance(doc.get("kind"), str):
+        raise ValueError(f"{where} kind must be a string, "
+                         f"got {doc.get('kind')!r}")
+    for key in ("capacity_bytes", "word_bits", "banks", "entries"):
+        if key in doc:
+            _json_int(doc[key], f"{where} {key}")
+    for key in ("read_energy", "write_energy"):
+        if key in doc:
+            _json_number(doc[key], f"{where} {key}")
+    return ComponentSpec.from_dict(doc)
+
+
 # ---------------------------------------------------------------------------
 # workloads
 # ---------------------------------------------------------------------------
@@ -177,7 +196,7 @@ def architecture_from_dict(data: dict[str, Any]) -> Architecture:
                                       f"{where} read_bandwidth"),
             write_bandwidth=_bandwidth(entry.get("write_bandwidth"),
                                        f"{where} write_bandwidth"),
-            component=(ComponentSpec.from_dict(component)
+            component=(_component(component, where)
                        if component is not None else None),
             link=entry.get("link", "noc"),
             link_bandwidth=_bandwidth(entry.get("link_bandwidth"),

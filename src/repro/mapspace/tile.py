@@ -34,23 +34,24 @@ def cap_tilings_by_footprint(
         sizes = {d: base.get(d, 1) * tiling.get(d, 1) for d in dims}
         return sum(table.footprint(i, sizes) for i in indices)
 
+    footprints = [footprint(t) for t in tilings]
+    order = range(len(tilings))
     chosen: list[dict[str, int]] = []
     chosen_keys: set = set()
 
-    def admit(tiling: dict[str, int]) -> None:
-        key = tuple(sorted(tiling.items()))
+    def admit(i: int) -> None:
+        key = tuple(sorted(tilings[i].items()))
         if key not in chosen_keys:
             chosen_keys.add(key)
-            chosen.append(tiling)
+            chosen.append(tilings[i])
 
     for dim in growth:
-        admit(max(tilings,
-                  key=lambda t: (t.get(dim, 1), footprint(t))))
-        admit(max(tilings,
-                  key=lambda t: (t.get(dim, 1), -footprint(t))))
-    for tiling in sorted(tilings, key=footprint, reverse=True):
+        admit(max(order, key=lambda i: (tilings[i].get(dim, 1),
+                                        footprints[i])))
+        admit(max(order, key=lambda i: (tilings[i].get(dim, 1),
+                                        -footprints[i])))
+    for i in sorted(order, key=footprints.__getitem__, reverse=True):
         if len(chosen) >= cap:
             break
-        admit(tiling)
+        admit(i)
     return chosen
-

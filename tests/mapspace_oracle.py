@@ -1,11 +1,14 @@
 """Test-only oracles: the pre-mapspace inline candidate generators.
 
 These are **verbatim** copies of the generator code the searches used
-before they were refactored onto the declarative mapspace IR.  They
-exist solely so the equivalence tests can prove the refactor preserved
-behaviour bit-for-bit — same candidate streams, same best mapping, same
-cost — without depending on git history.  Nothing outside ``tests/``
-may import this module.
+before they were refactored onto the declarative mapspace IR, and of
+the tiling tree before it stepped along divisor ladders
+(:func:`oracle_enumerate_tilings`).  The generators yield their
+``(ordering, tiling, unrolling)`` decisions; the live search attaches
+them.  They exist solely so the equivalence tests can prove the
+refactor preserved behaviour bit-for-bit — same candidate streams, same
+best mapping, same cost — without depending on git history.  Nothing
+outside ``tests/`` may import this module.
 """
 
 from __future__ import annotations
@@ -13,18 +16,100 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.arch.spec import Architecture
-from repro.core.scheduler import SchedulerStats, SunstoneScheduler, _State
+from repro.core.scheduler import SunstoneScheduler
 from repro.core.tiling_tree import (
+    TilingStats,
     divisors,
     enumerate_all_tilings,
     enumerate_tilings,
+    next_divisor,
 )
 from repro.core.unrolling import enumerate_unrollings
 from repro.mapping.mapping import LevelMapping, Mapping
+from repro.mapping.placement import placement_table
 from repro.workloads.expression import Workload
+
+
+def oracle_enumerate_tilings(
+    workload: Workload,
+    arch: Architecture,
+    level_index: int,
+    base_sizes: Mapping[str, int],
+    remaining: Mapping[str, int],
+    growth_dims: Iterable[str],
+    stats: TilingStats | None = None,
+) -> list[dict[str, int]]:
+    """Enumerate maximal tile candidates for one memory level.
+
+    Parameters
+    ----------
+    base_sizes:
+        Per-dimension cumulative tile span already fixed by the levels below
+        (the root tile).
+    remaining:
+        Per-dimension residual extent still to be tiled at this level and
+        above; this level's multiplier for a dimension must divide it.
+    growth_dims:
+        The dimensions the Tiling Principle allows to grow (indexing
+        dimensions of the reused operand); all others keep multiplier 1.
+
+    Returns a list of per-dimension *multipliers* (this level's temporal
+    factors).  If even the minimal tile does not fit, the list is empty.
+    """
+    stats = stats if stats is not None else TilingStats()
+    fits = placement_table(workload, arch).fits
+    growth = tuple(d for d in growth_dims if remaining.get(d, 1) > 1)
+
+    def sizes_for(multipliers: Mapping[str, int]) -> dict[str, int]:
+        return {
+            d: base_sizes.get(d, 1) * multipliers.get(d, 1)
+            for d in workload.dims
+        }
+
+    root = {d: 1 for d in growth}
+    stats.nodes_visited += 1
+    if not fits(level_index, sizes_for(root), {}):
+        stats.nodes_over_capacity += 1
+        return []
+
+    candidates: list[dict[str, int]] = []
+    seen: set[tuple[tuple[str, int], ...]] = set()
+    stack = [root]
+    seen.add(tuple(sorted(root.items())))
+    while stack:
+        node = stack.pop()
+        has_fitting_child = False
+        for dim in growth:
+            bumped = next_divisor(remaining[dim], node[dim])
+            if bumped is None:
+                continue
+            child = dict(node)
+            child[dim] = bumped
+            key = tuple(sorted(child.items()))
+            fresh = key not in seen
+            if fresh:
+                stats.nodes_visited += 1
+            if fits(level_index, sizes_for(child), {}):
+                has_fitting_child = True
+                if fresh:
+                    seen.add(key)
+                    stack.append(child)
+            elif fresh:
+                seen.add(key)
+                stats.nodes_over_capacity += 1
+        if has_fitting_child:
+            # The Tiling Principle: a larger fitting tile strictly
+            # dominates this one.
+            stats.nodes_pruned_dominated += 1
+            continue
+        candidates.append(node)
+
+    stats.candidates += len(candidates)
+    return candidates
+
 
 
 class OracleSunstoneScheduler(SunstoneScheduler):
@@ -117,8 +202,7 @@ class OracleSunstoneScheduler(SunstoneScheduler):
         mode = self.options.intra_level_order
 
         def extend(order, tiling, unroll):
-            return self._extend_bottom_up(state, level, order.order, tiling,
-                                          unroll)
+            return order, tiling, unroll
 
         union_growth_all = tuple(dict.fromkeys(
             d for order in orderings for d in self._growth_dims(order, level)
@@ -210,29 +294,7 @@ class OracleSunstoneScheduler(SunstoneScheduler):
                 unrolls = self._unroll_candidates(
                     order, level, fanout, quotient, stats)
                 for unroll in unrolls:
-                    parent_temporal = {
-                        d: quotient[d] // unroll.get(d, 1)
-                        for d in quotient
-                        if quotient[d] // unroll.get(d, 1) > 1
-                    }
-                    temporal = list(state.temporal)
-                    spatial = list(state.spatial)
-                    orders = list(state.orders)
-                    temporal[level + 1] = {
-                        **state.temporal[level + 1], **parent_temporal,
-                    }
-                    spatial[level] = dict(unroll)
-                    orders[level + 1] = order.order
-                    new_frontier = {
-                        d: tiling.get(d, 1) for d in remaining
-                    }
-                    yield _State(
-                        temporal=tuple(temporal),
-                        spatial=tuple(spatial),
-                        orders=tuple(orders),
-                        frontier=new_frontier,
-                        sink_level=0,
-                    )
+                    yield order, tiling, unroll
 
 
 def make_oracle_interstellar(base_cls):
@@ -275,9 +337,7 @@ def make_oracle_interstellar(base_cls):
                             utilization_threshold=1.0,
                         )
                     for unroll in unrolls:
-                        child = self._extend_bottom_up(
-                            state, level, order.order, tiling, unroll,
-                        )
+                        child = (order, tiling, unroll)
                         if child is not None:
                             yield child
 
@@ -339,9 +399,7 @@ def make_oracle_dmaze(base_cls):
                             and used < self.config.pe_utilization * fanout):
                         continue
                     for order in orderings:
-                        child = self._extend_bottom_up(
-                            state, level, order.order, tiling, unroll,
-                        )
+                        child = (order, tiling, unroll)
                         if child is not None:
                             yield child
 

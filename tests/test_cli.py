@@ -46,6 +46,8 @@ class TestBuilders:
         (("levels", 0, "capacity_words", "weight"), "x", "capacity_words"),
         (("levels", 1, "fanout"), 2.5, "fanout"),
         (("levels", 0, "name"), None, "name"),
+        (("levels", 0, "component", "word_bits"), True,
+         "level 'Regs' component word_bits"),
     ])
     def test_malformed_config_file_exits_naming_the_field(
             self, tmp_path, path, value, field):

@@ -46,6 +46,7 @@ from repro.mapspace import (
     order_permutations,
     ordered_factorizations,
 )
+from repro.mapspace.batch import NestCohort
 from repro.search import mapping_fingerprint
 from repro.workloads import conv2d, mttkrp
 
@@ -155,22 +156,42 @@ def _initial_state(workload, arch):
     )
 
 
-def _step_children(build, workload, arch, state, level, bottom_up,
-                   shard=None, dropped=None):
-    """One sweep step's children, from a fresh search at ``shard``;
-    ``dropped`` (a one-item list) counts the capacity check's drops."""
-    search = build(workload, arch, shard)
+def _step_children(search, state, level, bottom_up, dropped=None):
+    """One sweep step's child decisions; ``dropped`` (a one-item list)
+    counts the fit test's drops."""
     if dropped is not None:
-        extend = search._extend_bottom_up
+        fits = search._fits
 
         def counted(*args):
-            child = extend(*args)
-            dropped[0] += child is None
-            return child
+            verdict = fits(*args)
+            dropped[0] += not verdict
+            return verdict
 
-        search._extend_bottom_up = counted
-    return list(search._children(state, level, enumerate_orderings(workload),
-                                 SchedulerStats(), bottom_up))
+        search._fits = counted
+    return list(search._children(
+        state, level, enumerate_orderings(search.workload), SchedulerStats(),
+        bottom_up))
+
+
+def _attach(search, state, level, bottom_up, decision):
+    """The child state a decision makes."""
+    return _State(*search._attach(state, level, decision, bottom_up))
+
+
+def _walk(build, workload, arch, bottom_up, rng, dropped=None):
+    """A seeded random walk down one sweep: ``(search, state, level,
+    decisions)`` per step, from a fresh unsharded search, each next
+    state attached from a random decision."""
+    num = arch.num_levels
+    state = _initial_state(workload, arch)
+    for level in range(num - 1) if bottom_up else range(num - 2, -1, -1):
+        search = build(workload, arch, None)
+        decisions = _step_children(search, state, level, bottom_up, dropped)
+        yield search, state, level, decisions
+        if not decisions:
+            return
+        state = _attach(search, state, level, bottom_up,
+                        rng.choice(decisions))
 
 
 @settings(max_examples=2, deadline=None)
@@ -180,26 +201,24 @@ def test_shards_partition_the_stream(seed):
     ``shard=(i, n)`` streams re-interleave into the unsharded stream."""
     for name, (build, bottom_up) in SWEEPS.items():
         for label, (workload, arch, drops) in SHARD_INPUTS.items():
-            rng = random.Random(seed)
-            num = arch.num_levels
-            state = _initial_state(workload, arch)
-            steps = range(num - 1) if bottom_up else range(num - 2, -1, -1)
             dropped = [0]
-            for level in steps:
-                full = _step_children(build, workload, arch, state, level,
-                                      bottom_up, dropped=dropped)
-                want = [_state_key(child) for child in full]
+            for search, state, level, full in _walk(
+                    build, workload, arch, bottom_up, random.Random(seed),
+                    dropped):
+                def keys(decisions):
+                    return [_state_key(_attach(search, state, level,
+                                               bottom_up, decision))
+                            for decision in decisions]
+
+                want = keys(full)
                 for count in (2, 3):
-                    parts = [[_state_key(child) for child in _step_children(
-                        build, workload, arch, state, level, bottom_up,
-                        shard=(index, count))] for index in range(count)]
+                    parts = [keys(_step_children(
+                        build(workload, arch, (index, count)), state, level,
+                        bottom_up)) for index in range(count)]
                     assert sum(map(len, parts)) == len(want)
                     merged = [parts[pos % count][pos // count]
                               for pos in range(len(want))]
                     assert merged == want, (name, label, level, count)
-                if not full:
-                    break
-                state = rng.choice(full)
             if bottom_up and drops:
                 assert dropped[0] > 0, (name, label)
 
@@ -212,15 +231,91 @@ def test_enumeration_is_deterministic():
             state = _initial_state(workload, arch)
             level = 0 if bottom_up else arch.num_levels - 2
             first, second = (
-                [_state_key(child) for child in _step_children(
-                    build, workload, arch, state, level, bottom_up)]
-                for _ in range(2))
+                [_state_key(_attach(search, state, level, bottom_up, decision))
+                 for decision in _step_children(search, state, level,
+                                                bottom_up)]
+                for search in (build(workload, arch, None) for _ in range(2)))
             assert first == second and first
     workload, arch = mttkrp(4, 2, 2, 4), tiny()
     first, second = ([mapping_fingerprint(m)
                       for m in full_mapping_space(workload, arch, 2)]
                      for _ in range(2))
     assert first == second
+
+
+# ---------------------------------------------------------------------------
+# a step's class keys and ranking keys
+# ---------------------------------------------------------------------------
+
+def _unsound_children(search, state, level, bottom_up, decisions,
+                      coarsen=None):
+    """The children of one step whose completion fingerprint differs
+    from their class representative's, or whose assembled ranking key
+    differs from ``_state_key`` of their attached state.  ``coarsen``
+    rewrites each bottom-up class key first."""
+    class_key = search._class_keys(state, level) if bottom_up else None
+    ranking_key = search._ranking_keys(level, bottom_up)
+    representatives: dict = {}
+    unsound = []
+    for position, decision in enumerate(decisions):
+        child = _attach(search, state, level, bottom_up, decision)
+        nests = search._completion_nests(
+            child.temporal, child.spatial, child.orders, child.frontier,
+            child.sink_level)
+        fingerprint = NestCohort(search.workload, search.arch,
+                                 [nests]).fingerprint_levels(0)
+        key = class_key(decision) if bottom_up else position
+        if coarsen is not None:
+            key = coarsen(state, level, key)
+        if (representatives.setdefault(key, fingerprint) != fingerprint
+                or ranking_key(state, decision) != _state_key(child)):
+            unsound.append(decision)
+    return unsound
+
+
+@settings(max_examples=2, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**16))
+def test_class_and_ranking_keys_are_sound(seed):
+    """Along a seeded random walk down every sweep, every child shares
+    its class representative's completion fingerprint (one cohort row
+    per class is exact), and its ranking key assembled from the parent's
+    key equals its attached state's ``_state_key``."""
+    for name, (build, bottom_up) in SWEEPS.items():
+        for label, (workload, arch, _) in SHARD_INPUTS.items():
+            for search, state, level, decisions in _walk(
+                    build, workload, arch, bottom_up, random.Random(seed)):
+                assert not _unsound_children(
+                    search, state, level, bottom_up, decisions), \
+                    (name, label, level)
+
+
+def _drop_first_order(state, level, key):
+    """The class key without the ordering on the first step."""
+    return key[:2] + key[3:] if state.orders[level] is None else key
+
+
+def _drop_last_order(state, level, key):
+    """The class key without the ordering on the last step."""
+    return key[:-1] if level + 2 == len(state.orders) else key
+
+
+@pytest.mark.parametrize("coarsen", [_drop_first_order, _drop_last_order])
+def test_class_keys_need_both_order_parts(coarsen):
+    """A class key that drops either order part merges children with
+    different fingerprints, so the soundness check catches it.  The
+    last step's part decides the order of the residual loops at the
+    top, which differs between orderings only when two or more
+    residual loops are left: this walk down Sunstone's sweep of a 3x3
+    conv on the Table I machine reaches such a step."""
+    build, _ = SWEEPS["sunstone/ordering-tiling-unrolling"]
+    workload = conv2d(N=1, K=64, C=32, P=7, Q=7, R=3, S=3)
+    arch = conventional()
+    unsound = 0
+    for search, state, level, decisions in _walk(build, workload, arch, True,
+                                                 random.Random(1)):
+        unsound += len(_unsound_children(search, state, level, True,
+                                         decisions, coarsen))
+    assert unsound > 0
 
 
 # ---------------------------------------------------------------------------

@@ -219,6 +219,19 @@ HOSTILE_SPECS = {
         "capacity_words"),
     "inline-fanout-bool": (schedule_spec(arch=_with_leaf(
         TINY_DOC, ("levels", 1, "fanout"), True)), "fanout"),
+    # A level's component fields follow the same rule.
+    "inline-regfile-component-bool-float": (schedule_spec(arch=_with_leaf(
+        TINY_DOC, ("levels", 0, "component"),
+        {"kind": "regfile", "entries": True, "word_bits": 2.5})),
+        "level 'L1' component (entries|word_bits)"),
+    "inline-sram-component-str": (schedule_spec(arch=_with_leaf(
+        TINY_DOC, ("levels", 0, "component"),
+        {"kind": "sram", "capacity_bytes": "128"})),
+        "level 'L1' component capacity_bytes"),
+    "inline-fixed-component-str-bool": (schedule_spec(arch=_with_leaf(
+        TINY_DOC, ("levels", 0, "component"),
+        {"kind": "fixed", "read_energy": "1.5", "write_energy": True})),
+        "level 'L1' component (read|write)_energy"),
 }
 
 
@@ -228,6 +241,21 @@ def _assert_typed_workload(doc):
     for tensor in doc["tensors"]:
         assert all(type(index["stride"]) is int
                    for index in tensor["indices"])
+
+
+def _assert_typed_components(doc):
+    """Every component of an architecture document has a string
+    ``kind``, JSON-integer sizes and JSON-number energies."""
+    for level in doc["levels"]:
+        component = level.get("component")
+        if component is None:
+            continue
+        assert type(component["kind"]) is str
+        assert all(type(component[key]) is int for key in
+                   ("capacity_bytes", "word_bits", "banks", "entries")
+                   if key in component)
+        assert all(type(component[key]) in (int, float) for key in
+                   ("read_energy", "write_energy") if key in component)
 
 
 def _assert_typed_arch(doc):
@@ -296,6 +324,9 @@ class TestProtocol:
                 assert doc["dims"][dim] == size
             _assert_typed_workload(doc)
         _assert_typed_arch(job["arch"])
+        if isinstance(mutated.get("arch"), dict):
+            # The sent components were accepted as they are, not coerced.
+            _assert_typed_components(mutated["arch"])
 
     def test_tech_field_resolves_and_keys_the_fingerprint(self):
         base = normalize_job(schedule_spec())

@@ -1,8 +1,16 @@
 """Tests for the tiling search tree and the Tiling Principle (§IV-B)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.arch import UNIFIED, Architecture, MemoryLevel, simba_like, tiny
+from repro.arch import (
+    UNIFIED,
+    Architecture,
+    MemoryLevel,
+    conventional,
+    simba_like,
+    tiny,
+)
 from repro.core import (
     TilingStats,
     divisors,
@@ -11,7 +19,8 @@ from repro.core import (
     next_divisor,
 )
 from repro.core.tiling_tree import placement_fits
-from repro.workloads import conv1d, conv2d
+from repro.workloads import conv1d, conv2d, mttkrp
+from tests.mapspace_oracle import oracle_enumerate_tilings
 
 
 class TestDivisors:
@@ -167,3 +176,45 @@ class TestPlacementFits:
         # share, so the check at the storing level uses sizes as-is.
         assert placement_fits(conv, arch, 0, sizes, {"P": 2}) == \
             placement_fits(conv, arch, 0, sizes, {})
+
+
+# ---------------------------------------------------------------------------
+# the divisor-ladder tree against the historical tree
+# ---------------------------------------------------------------------------
+
+# conv2d on simba exercises per-role partitions and bypassed tensors;
+# the conv1d and conv2d windows exercise sliding-window footprints.
+_TREE_INPUTS = [
+    (conv2d(N=1, K=64, C=32, P=7, Q=7, R=3, S=3), simba_like()),
+    (conv1d(K=8, C=4, P=28, R=5), tiny(l1_words=96, l2_words=2048, pes=4)),
+    (mttkrp(I=64, K=32, L=32, J=64), conventional()),
+    (conv2d(N=2, K=16, C=12, P=14, Q=14, R=3, S=3), conventional()),
+]
+
+
+@settings(max_examples=240, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_ladder_tree_matches_historical_tree(data):
+    """Random (workload, arch, level, base, remaining, growth): the same
+    candidates (dict contents and key order) in the same order, and the
+    same four ``TilingStats`` counters."""
+    workload, arch = data.draw(st.sampled_from(_TREE_INPUTS))
+    level = data.draw(st.integers(0, arch.num_levels - 2))
+    remaining, base = {}, {}
+    for dim, size in workload.dims.items():
+        # Mostly whole extents over unit spans, so most trees have room
+        # to grow.
+        remaining[dim] = data.draw(st.one_of(
+            st.just(size), st.sampled_from(divisors(size))))
+        base[dim] = data.draw(st.one_of(st.just(1), st.sampled_from(
+            divisors(size // remaining[dim]))))
+    growth = data.draw(st.permutations(workload.dim_names))
+    growth = growth[:data.draw(st.integers(0, len(growth)))]
+    live_stats, oracle_stats = TilingStats(), TilingStats()
+    live = enumerate_tilings(workload, arch, level, base, remaining, growth,
+                             stats=live_stats)
+    oracle = oracle_enumerate_tilings(workload, arch, level, base, remaining,
+                                      growth, stats=oracle_stats)
+    assert [list(t.items()) for t in live] == \
+        [list(t.items()) for t in oracle]
+    assert live_stats == oracle_stats
