@@ -50,12 +50,10 @@ class _Genome:
 
 class _GammaSearch:
     def __init__(self, workload: Workload, arch: Architecture,
-                 config: GammaConfig, partial_reuse: bool,
-                 engine: SearchEngine) -> None:
+                 config: GammaConfig, engine: SearchEngine) -> None:
         self.workload = workload
         self.arch = arch
         self.config = config
-        self.partial_reuse = partial_reuse
         self.engine = engine
         self.rng = random.Random(config.seed)
         self.primes = {
@@ -124,12 +122,6 @@ class _GammaSearch:
             value *= 1e6  # heavily penalise, GAMMA-style, but keep gradient
         return value
 
-    def fitness(self, genome: _Genome) -> tuple[float, Mapping, CostResult]:
-        mapping = self.decode(genome)
-        cost = self.engine.evaluate(mapping)
-        self.evaluations += 1
-        return self._value(cost), mapping, cost
-
     # -- main loop ----------------------------------------------------------
     def run(self) -> tuple[Mapping, CostResult] | None:
         population = [self.random_genome()
@@ -177,7 +169,7 @@ def gamma_search(
     start = time.perf_counter()
     engine = resolve_engine(engine, cache, partial_reuse, sparsity,
                             cache_size)
-    search = _GammaSearch(workload, arch, config, partial_reuse, engine)
+    search = _GammaSearch(workload, arch, config, engine)
     outcome = search.run()
     elapsed = time.perf_counter() - start
     if outcome is None:

@@ -12,8 +12,8 @@ against the Unrolling Principle) — reproduced here by construction.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Iterator
+from dataclasses import dataclass, fields
+from typing import Callable, Iterator
 
 from ..arch.spec import Architecture
 from ..core.scheduler import SchedulerOptions, SchedulerStats, SunstoneScheduler, _State
@@ -42,17 +42,33 @@ class _InterstellarSearch(SunstoneScheduler):
                  engine=None) -> None:
         super().__init__(workload, arch, options, engine=engine)
         self.config = config
+        # The all-dimension tiling tree of a (level, base, remaining)
+        # and the unroll list of a (level, residual) do not depend on
+        # the ordering: each is built once per search.
+        self._tilings_memo: dict = {}
+        self._unrolls_memo: dict = {}
 
     def _children_bottom_up(self, state: _State, level: int, orderings,
                             stats: SchedulerStats) -> Iterator[tuple]:
         base = self._base_sizes(state, level)
         remaining = dict(state.frontier)
         fanout = self.arch.levels[level].fanout
+        tree_key = (level, tuple(sorted(base.items())),
+                    tuple(sorted(remaining.items())))
 
         preferred = tuple(
             d for d in self.config.preferred_spatial_dims
             if d in self.workload.dims
         )
+
+        def tilings() -> list[dict[str, int]]:
+            # Interstellar tiles over every dimension (no Tiling
+            # Principle), with its tiling tree counted once per ordering.
+            return _replayed(
+                self._tilings_memo, tree_key, stats.tiling,
+                lambda delta: enumerate_tilings(
+                    self.workload, self.arch, level, base, remaining,
+                    self.workload.dim_names, stats=delta))
 
         def unrolls_for(tiling: dict[str, int]) -> list[dict[str, int]]:
             rem_after = {
@@ -60,23 +76,40 @@ class _InterstellarSearch(SunstoneScheduler):
             }
             # Preset CK unrolling with the "replace" fallback: when CK
             # cannot fill the grid, allow the other dimensions.
-            return unroll_candidates(
-                self.workload, fanout, rem_after, preferred,
-                utilization_threshold=1.0,
-                fallback="replace",
-                stats=stats.unrolling,
-            )
+            return _replayed(
+                self._unrolls_memo, (level, tuple(sorted(rem_after.items()))),
+                stats.unrolling,
+                lambda delta: unroll_candidates(
+                    self.workload, fanout, rem_after, preferred,
+                    utilization_threshold=1.0,
+                    fallback="replace",
+                    stats=delta,
+                ))
 
-        # Interstellar tiles over every dimension (no Tiling Principle),
-        # with a fresh tiling tree per ordering.
         return (
             (order, tiling, unroll)
             for order in orderings
-            for tiling in enumerate_tilings(
-                self.workload, self.arch, level, base, remaining,
-                self.workload.dim_names, stats=stats.tiling)
+            for tiling in tilings()
             for unroll in unrolls_for(tiling)
         )
+
+
+def _replayed(memo: dict, key, counters, build: Callable) -> list:
+    """``build``'s result for ``key``, built once per ``memo``.
+
+    The first call passes ``build`` a fresh counter record of
+    ``counters``' type and keeps what it counted; every call adds that
+    record to ``counters``, so they read as if each call had built its
+    own result."""
+    entry = memo.get(key)
+    if entry is None:
+        delta = type(counters)()
+        entry = memo[key] = (build(delta), delta)
+    result, delta = entry
+    for f in fields(delta):
+        setattr(counters, f.name,
+                getattr(counters, f.name) + getattr(delta, f.name))
+    return result
 
 
 def interstellar_search(

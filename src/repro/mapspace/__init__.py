@@ -4,16 +4,16 @@ The searches generate their candidates with plain loops over the lists
 :mod:`repro.core` builds (order tries, tiling trees, unrollings); this
 package holds what they share: per-dimension factor lattices, the
 full mapping space the exhaustive and sampling baselines are defined
-over (a generator plus its closed-form size), the tile cap, the one
-shard rule, evaluation-ready cohorts and the analytic bound model.  See
-docs/MAPSPACE.md.
+over (its index decoder plus its closed-form size), the tile cap, the
+one shard rule, evaluation-ready cohorts and the analytic bound model.
+See docs/MAPSPACE.md.
 """
 
 from .batch import (
     Cohort,
     MatrixCohort,
     NestCohort,
-    full_space_cohorts,
+    SpaceDecoder,
 )
 from .bounds import BoundModel, Region
 from .factor import (
@@ -24,7 +24,6 @@ from .factor import (
 from .mapspace import (
     assemble_mapping,
     assignment_slots,
-    full_mapping_space,
     full_space_lattices,
     full_space_size,
     order_permutations,
@@ -42,12 +41,11 @@ __all__ = sorted([
     "MatrixCohort",
     "NestCohort",
     "Region",
+    "SpaceDecoder",
     "assemble_mapping",
     "assignment_slots",
     "cap_tilings_by_footprint",
     "check_shard",
-    "full_mapping_space",
-    "full_space_cohorts",
     "full_space_lattices",
     "full_space_size",
     "order_permutations",

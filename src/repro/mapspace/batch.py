@@ -1,4 +1,4 @@
-"""Evaluation-ready candidate cohorts.
+"""Evaluation-ready candidate cohorts and the full space's index decoder.
 
 A :class:`Cohort` is a batch of candidates the search engine evaluates
 as one.  It stages any subset of its rows as the int64 factor matrices
@@ -15,18 +15,21 @@ plain ``Mapping`` list as a third):
   completed nests (:meth:`from_nests`) and staged by
   :func:`repro.model.batch.stage_nests`, the staging ``Mapping`` lists
   share;
-* :class:`MatrixCohort` — built by :func:`full_space_cohorts`, which
-  index-decodes the exhaustive full mapping space straight into
-  matrices, in the exact historical enumeration order, shardable.
+* :class:`MatrixCohort` — built by :meth:`SpaceDecoder.decode`, which
+  index-decodes rows of the exhaustive full mapping space straight into
+  matrices.
 
-Everything degrades gracefully without numpy: ``geometry()`` and
-``evaluate_rows`` return ``None`` and callers fall back to
-``materialize`` + scalar evaluation, which the differential tests pin.
+:class:`SpaceDecoder` is the one owner of the full space's enumeration
+order.  Without numpy it decodes the same indices by integer division
+into a :class:`NestCohort`, whose ``geometry()`` is ``None``: the engine
+then materializes each row and runs the scalar model, which the
+differential tests pin.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+import math
+from typing import Sequence
 
 from .. import optional_numpy
 from ..arch.spec import Architecture
@@ -37,18 +40,8 @@ from .mapspace import (
     assignment_slots,
     full_space_lattices,
     order_permutations,
+    stores_from_splits,
 )
-from .spaces import check_shard
-
-# Cohort size of full_space_cohorts: large enough to amortise the numpy
-# staging of repro.model.batch, small enough to keep peak memory and the
-# argmin scan granularity bounded.
-DEFAULT_COHORT = 1024
-
-# Spaces larger than this never take the index-decoded path (the
-# exhaustive driver's evaluation budget rejects them long before, but
-# the decode math should not be asked to range over them either).
-_MAX_DECODED_SPACE = 1 << 40
 
 
 class Cohort:
@@ -216,16 +209,18 @@ class MatrixCohort(Cohort):
 
 
 class SpaceDecoder:
-    """Index-decoder for the full mapping space.
+    """The full mapping space's one enumeration order.
 
-    Stages every per-dimension factor lattice as an int64 split matrix
-    once, then :meth:`decode` turns any ascending array of global
-    enumeration indices into a :class:`MatrixCohort` — the primitive
-    under both :func:`full_space_cohorts` (contiguous/shard-strided
-    streams) and the branch-and-bound walker (the surviving leaf blocks,
-    arbitrary indices).  ``available`` is False when the vectorized
-    decode cannot run (no numpy, a lattice too large to stage, or a
-    space beyond the decode guard).
+    Global index ``k`` is a mixed-radix number.  Its digits, most
+    significant first, are one split index per workload dimension (into
+    that dimension's :meth:`FactorLattice.splits()
+    <repro.mapspace.factor.FactorLattice.splits>` list over the
+    canonical assignment slots, first dimension outermost) and then one
+    loop-order index per level (into :func:`order_permutations`, level 0
+    most significant).  ``radices`` lists the digit ranges in that order,
+    so the candidates sharing a split prefix of length ``j`` form one
+    contiguous block of ``prod(radices[j:])`` indices: the strides the
+    exhaustive walker reads.  ``total`` is the space's size.
     """
 
     def __init__(self, workload: Workload, arch: Architecture,
@@ -235,36 +230,28 @@ class SpaceDecoder:
         self.num = arch.num_levels
         self.dims = workload.dim_names
         self.slots = assignment_slots(arch)
-        self.available = False
-        self.total = 0
-        if optional_numpy.np is None:
-            return
-        matrices = [lattice.split_matrix()
-                    for lattice in full_space_lattices(workload, arch)]
-        if any(m is None for m in matrices):
-            return
-        order_items = order_permutations(self.dims, orders_per_level)
-        if not order_items:
-            return
-        self.matrices = matrices
-        self.order_items = order_items
-        self.radices = [len(m) for m in matrices] \
-            + [len(order_items)] * self.num
-        total = 1
-        for radix in self.radices:
-            total *= radix
-        if total == 0 or total > _MAX_DECODED_SPACE:
-            return
-        self.total = total
-        self.available = True
+        self.splits = [list(lattice.splits())
+                       for lattice in full_space_lattices(workload, arch)]
+        self.order_items = order_permutations(self.dims, orders_per_level)
+        self.radices = ([len(s) for s in self.splits]
+                        + [len(self.order_items)] * self.num)
+        self.total = math.prod(self.radices)
+        self._matrices = None
 
-    def decode(self, ks) -> "MatrixCohort":
-        """Cohort for the rows at global indices ``ks`` (int64 array,
-        ascending), in that order."""
+    def decode(self, ks: Sequence[int]) -> Cohort:
+        """Cohort for the rows at global indices ``ks`` (ascending), in
+        that order: a :class:`MatrixCohort` with numpy, else a
+        :class:`NestCohort` of the same rows."""
         np = optional_numpy.np
+        if np is None:
+            return self._decode_nests(ks)
+        if self._matrices is None:
+            self._matrices = [np.array(splits, dtype=np.int64)
+                              for splits in self.splits]
         num = self.num
         dims = self.dims
         m = len(self.order_items)
+        ks = np.asarray(ks, dtype=np.int64)
         n = len(ks)
         digits = []
         rem = ks
@@ -274,7 +261,7 @@ class SpaceDecoder:
         digits.reverse()
         t_mat = np.ones((n, num, len(dims)), dtype=np.int64)
         s_mat = np.ones((n, num, len(dims)), dtype=np.int64)
-        for j, matrix in enumerate(self.matrices):
+        for j, matrix in enumerate(self._matrices):
             block = matrix[digits[j]]  # (n, num_slots)
             for s_idx, (kind, level) in enumerate(self.slots):
                 col = block[:, s_idx]
@@ -299,35 +286,34 @@ class SpaceDecoder:
         return MatrixCohort(self.workload, self.arch, t_mat, s_mat,
                             inv.astype(np.int64), order_table)
 
-
-def full_space_cohorts(
-    workload: Workload,
-    arch: Architecture,
-    orders_per_level: int | None = None,
-    shard: tuple[int, int] | None = None,
-    batch_size: int = DEFAULT_COHORT,
-) -> "Iterator[MatrixCohort] | None":
-    """Stream the full mapping space as :class:`MatrixCohort` batches.
-
-    Row order matches :func:`~repro.mapspace.mapspace.full_mapping_space`
-    (and hence the historical exhaustive stream) exactly;
-    ``shard=(i, n)`` selects the rows whose global enumeration index is
-    congruent to ``i`` mod ``n``.  Returns ``None`` when the vectorized
-    decode is unavailable (no numpy, a lattice too large to stage, or a
-    space beyond the decode guard) — callers then walk the scalar space.
-    """
-    decoder = SpaceDecoder(workload, arch, orders_per_level)
-    if not decoder.available:
-        return None
-    shard = check_shard(shard)
-    return _decode_cohorts(decoder, shard, batch_size)
-
-
-def _decode_cohorts(decoder, shard, batch_size):
-    np = optional_numpy.np
-    start, step = (0, 1) if shard is None else shard
-    total = decoder.total
-    for block_start in range(start, total, step * batch_size):
-        block_end = min(total, block_start + step * batch_size)
-        ks = np.arange(block_start, block_end, step, dtype=np.int64)
-        yield decoder.decode(ks)
+    def _decode_nests(self, ks: Sequence[int]) -> "NestCohort":
+        """The rows of :meth:`decode` by integer division, as the nests
+        and sorted spatial factors ``assemble_mapping`` would build."""
+        num = self.num
+        num_dims = len(self.dims)
+        stores: dict[tuple, tuple] = {}
+        rows = []
+        for k in ks:
+            digits = []
+            for radix in reversed(self.radices):
+                k, digit = divmod(k, radix)
+                digits.append(digit)
+            digits.reverse()
+            split_digits = tuple(digits[:num_dims])
+            store = stores.get(split_digits)
+            if store is None:
+                store = stores[split_digits] = stores_from_splits(
+                    self.dims,
+                    [splits[d] for splits, d
+                     in zip(self.splits, split_digits)],
+                    self.slots, num)
+            temporal, spatial = store
+            orders = [self.order_items[d] for d in digits[num_dims:]]
+            rows.append((
+                tuple(tuple((d, temporal[level].get(d, 1))
+                            for d in orders[level])
+                      for level in range(num)),
+                tuple(tuple(sorted(spatial[level].items()))
+                      for level in range(num)),
+            ))
+        return NestCohort(self.workload, self.arch, rows)

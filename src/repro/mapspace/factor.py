@@ -6,9 +6,8 @@ tiling strategy in this repo ultimately makes, whether the slots are the
 temporal levels of a hierarchy or the (temporal, spatial) assignment
 slots of the full mapping space.  Its ``size()`` is the closed-form
 count of ordered factorisations, ``splits()`` a deterministic stream of
-splits (``split_matrix()`` the same list as an int64 matrix), and
-``sample(rng)`` a uniform prime-placement draw matching the sampling
-baselines' historical RNG consumption exactly.
+splits, and ``sample(rng)`` a uniform prime-placement draw matching the
+sampling baselines' historical RNG consumption exactly.
 """
 
 from __future__ import annotations
@@ -16,13 +15,6 @@ from __future__ import annotations
 import itertools
 import math
 from typing import Any, Iterator, Sequence
-
-from .. import optional_numpy
-
-# Above this many raw prime placements (slots ** num_primes) the
-# vectorized lattice would materialise an unreasonably large staging
-# matrix; fall back to the streaming scalar generator instead.
-_MAX_VECTOR_PLACEMENTS = 1 << 22
 
 
 def prime_factors(n: int) -> list[int]:
@@ -95,36 +87,6 @@ class FactorLattice:
             if key not in seen:
                 seen.add(key)
                 yield key
-
-    def split_matrix(self):
-        """The full dedup'd split list as an ``(n, slots)`` int64 matrix.
-
-        Row ``i`` equals the ``i``-th tuple of the scalar stream.  The
-        construction vectorises the prime-placement walk: placement
-        index ``k`` decodes to per-prime slot digits (first prime
-        slowest, matching ``itertools.product``), each prime multiplies
-        into its slot column, and ``np.unique`` keeps first occurrences
-        in stream order.  Returns ``None`` when numpy is unavailable or
-        the raw placement count exceeds the staging guard.
-        """
-        np = optional_numpy.np
-        if np is None:
-            return None
-        slots = len(self.slots)
-        num_primes = len(self.primes)
-        if not num_primes:
-            return np.ones((1, slots), dtype=np.int64)
-        placements = slots ** num_primes
-        if placements > _MAX_VECTOR_PLACEMENTS:
-            return None
-        idx = np.arange(placements, dtype=np.int64)
-        splits = np.ones((placements, slots), dtype=np.int64)
-        for j, prime in enumerate(self.primes):
-            digit = (idx // (slots ** (num_primes - 1 - j))) % slots
-            # scatter-multiply prime j into its chosen slot per placement
-            np.multiply.at(splits, (idx, digit), prime)
-        _, first = np.unique(splits, axis=0, return_index=True)
-        return splits[np.sort(first)]
 
     def sample(self, rng) -> dict[Any, int]:
         """One uniform prime-placement draw: each prime factor lands in

@@ -3,25 +3,24 @@
 ``assignment_slots`` fixes the canonical slot order every strategy
 shares (temporal slot per level, spatial slot at fanout boundaries);
 ``assemble_mapping`` is the one decode from per-level factor dicts plus
-loop orders to a :class:`~repro.mapping.mapping.Mapping`; and
-``full_mapping_space`` crosses per-dimension :class:`FactorLattice`
-splits with per-level orderings into the complete mapping space the
-exhaustive and sampling baselines are defined over, in the exact
-historical enumeration order, with ``full_space_size`` its closed-form
-size.
+loop orders to a :class:`~repro.mapping.mapping.Mapping`; and the
+complete mapping space the exhaustive and sampling baselines are
+defined over crosses per-dimension :class:`FactorLattice` splits
+(``full_space_lattices``) with per-level orderings
+(``order_permutations``), with ``full_space_size`` its closed-form size.
+:class:`~repro.mapspace.batch.SpaceDecoder` owns its enumeration order.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Any, Iterator, Mapping as MappingT, Sequence
+from typing import Any, Mapping as MappingT, Sequence
 
 from ..arch.spec import Architecture
 from ..mapping.mapping import LevelMapping, Mapping
 from ..workloads.expression import Workload
 from .factor import FactorLattice
-from .spaces import check_shard
 
 Slot = "tuple[str, int]"
 
@@ -127,7 +126,7 @@ def full_space_size(
     arch: Architecture,
     orders_per_level: int | None = None,
 ) -> int:
-    """Closed-form size of :func:`full_mapping_space`: the product of the
+    """Closed-form size of the full mapping space: the product of the
     lattice sizes times ``min(orders_per_level, n!)`` per level."""
     if orders_per_level is not None and orders_per_level < 0:
         raise ValueError("orders_per_level must be >= 0")
@@ -138,35 +137,3 @@ def full_space_size(
     for lattice in full_space_lattices(workload, arch):
         size *= lattice.size()
     return size
-
-
-def full_mapping_space(
-    workload: Workload,
-    arch: Architecture,
-    orders_per_level: int | None = None,
-    shard: tuple[int, int] | None = None,
-) -> Iterator[Mapping]:
-    """The complete mapping space: per-dimension factor splits over the
-    canonical assignment slots, crossed with per-level loop orderings.
-
-    Enumeration order is the historical exhaustive-search order: the
-    per-dimension splits form the outer product (first workload dimension
-    outermost), the per-level orderings the inner product (innermost
-    level's ordering varying slowest of the order axes).  ``shard=(i, n)``
-    yields the candidates whose position is congruent to ``i`` mod ``n``.
-    """
-    index, count = check_shard(shard) or (0, 1)
-    num = arch.num_levels
-    dims = workload.dim_names
-    slots = assignment_slots(arch)
-    splits = [list(lattice.splits())
-              for lattice in full_space_lattices(workload, arch)]
-    orderings = order_permutations(dims, orders_per_level)
-    position = 0
-    for combo in itertools.product(*splits):
-        temporal, spatial = stores_from_splits(dims, combo, slots, num)
-        for level_orders in itertools.product(orderings, repeat=num):
-            if position % count == index:
-                yield assemble_mapping(workload, arch, temporal, spatial,
-                                       level_orders)
-            position += 1

@@ -1,10 +1,9 @@
 """The one switch for the optional numpy dependency.
 
 Every vectorised path — the search engine's routing, cohort staging and
-the array rollup (:mod:`repro.model.batch`), the full-space index
-decoder (:mod:`repro.mapspace.batch`), factor-lattice split matrices
-and exhaustive's decoded walk — reads
-:data:`np` when it is called, never a copy taken at import.  ``None``
+the array rollup (:mod:`repro.model.batch`) and the full-space index
+decoder (:mod:`repro.mapspace.batch`) — reads :data:`np` when it is
+called, never a copy taken at import.  ``None``
 when numpy is not installed; clearing it in place runs exactly the paths
 a numpy-less install takes (``tests/harness.py:scalar_paths``).
 """

@@ -151,10 +151,10 @@ def scalar_paths():
 
     Clears the one numpy switch, ``repro.optional_numpy.np``, in place;
     every vectorised path reads it when called.  The search engine then
-    evaluates rows with the scalar model, cohorts stage no matrices, the
-    exhaustive space is walked without the index decoder, and factor lattices and constraint
-    filters run their scalar loops.  Numpy stays importable, so
-    vectorised and scalar runs can be compared in one process.
+    evaluates rows with the scalar model, cohorts stage no matrices, and
+    the full-space index decoder builds its rows by integer division.
+    Numpy stays importable, so vectorised and scalar runs can be
+    compared in one process.
     """
     import repro.optional_numpy as switch
 

@@ -8,8 +8,9 @@ Two properties pin ``repro.mapspace.bounds``:
   combined with the strict ``bound > incumbent`` prune rule can never
   discard the true winner.
 * **Exactness in use** — the exhaustive walker, the one searcher that
-  prunes regions, returns the same best mapping and bit-identical cost
-  with bounds on and off, across shards and sparsity specs.  The
+  prunes regions, returns the first-attainer argmin of the test
+  oracle's unpruned stream (same mapping, bit-identical cost) across
+  shards and sparsity specs, and it prunes effectively.  The
   Sunstone-sweep mappers (Sunstone, dMazeRunner-like,
   Interstellar-like) test no bounds: they evaluate every candidate and
   ask the model once per search phase for the whole-space floor of
@@ -24,10 +25,13 @@ Plus the user-facing surface: the per-search optimality certificate on
 from __future__ import annotations
 
 import contextlib
+import functools
+import itertools
 import json
 
 import pytest
 
+from repro.arch import tiny
 from repro.baselines.cosa import cosa_search
 from repro.baselines.dmazerunner import dmazerunner_search
 from repro.baselines.exhaustive import exhaustive_search
@@ -37,12 +41,13 @@ from repro.baselines import TIMELOOP_FAST, timeloop_search
 from repro.baselines.common import certificate_from_bound
 from repro.cli import main
 from repro.core.scheduler import SchedulerOptions, SunstoneScheduler
-from repro.mapspace import full_mapping_space
+from repro.mapspace import full_space_size
 from repro.mapspace.bounds import BoundModel, Region
 from repro.search import SearchEngine, mapping_fingerprint
 from repro.sparse import SparsitySpec
 from repro.workloads import conv1d, mttkrp
 from tests import harness
+from tests.mapspace_oracle import oracle_full_space_stream
 
 SPARSE_SPECS = {
     "dense": None,
@@ -61,8 +66,58 @@ def _value(cost, objective):
 
 def _sampled_points(workload, arch, stride):
     """Every ``stride``-th mapping of the small full space."""
-    space = full_mapping_space(workload, arch, orders_per_level=2)
-    return [m for i, m in enumerate(space) if i % stride == 0]
+    return list(itertools.islice(
+        oracle_full_space_stream(workload, arch, 2), 0, None, stride))
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_values(sparse_key):
+    """The EDP of every candidate of the oracle's stream of the tiny
+    MTTKRP space (two orders per level), ``None`` where invalid."""
+    stream = oracle_full_space_stream(harness.tiny_mttkrp(),
+                                      harness.small_arch(), 2)
+    engine = SearchEngine(cache=False, sparsity=SPARSE_SPECS[sparse_key])
+    values = []
+    while chunk := list(itertools.islice(stream, 1024)):
+        values += [cost.edp if cost.valid else None
+                   for cost in engine.evaluate_many(chunk)]
+    return tuple(values)
+
+
+def _oracle_argmin(sparse_key, shard):
+    """The unpruned reference of one exhaustive shard: the first of the
+    shard's candidates to attain the least EDP, with its exact cost, and
+    the shard's candidate count."""
+    values = _oracle_values(sparse_key)
+    index, count = shard or (0, 1)
+    members = range(index, len(values), count)
+    best = None
+    for k in members:
+        if values[k] is not None and (best is None
+                                      or values[k] < values[best]):
+            best = k
+    mapping = next(itertools.islice(oracle_full_space_stream(
+        harness.tiny_mttkrp(), harness.small_arch(), 2), best, None))
+    cost = SearchEngine(sparsity=SPARSE_SPECS[sparse_key]).evaluate(mapping)
+    assert cost.edp == values[best]
+    return mapping, cost, len(members)
+
+
+def _assert_matches_oracle(result, sparse_key, shard=None):
+    """``result`` is its shard's oracle argmin, bit for bit, and its
+    evaluated plus provably skipped candidates partition the shard."""
+    mapping, cost, share = _oracle_argmin(sparse_key, shard)
+    assert result.found
+    assert (mapping_fingerprint(result.mapping)
+            == mapping_fingerprint(mapping))
+    assert result.cost.edp == cost.edp
+    assert result.cost.energy_pj == cost.energy_pj
+    size = full_space_size(harness.tiny_mttkrp(), harness.small_arch(), 2)
+    index, count = shard or (0, 1)
+    assert share == len(range(index, size, count))
+    stats = result.search_stats
+    assert stats.bound_candidates_skipped > 0
+    assert result.evaluations + stats.bound_candidates_skipped == share
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +156,7 @@ def test_region_bound_never_exceeds_region_min(sparse_key):
     first = workload.dim_names[0]
     minima: dict[tuple, float] = {}
     engine = SearchEngine(sparsity=sparsity)
-    for mapping in full_mapping_space(workload, arch, orders_per_level=2):
+    for mapping in oracle_full_space_stream(workload, arch, 2):
         cost = engine.evaluate(mapping)
         if not cost.valid:
             continue
@@ -235,37 +290,29 @@ def test_sunstone_bounds_once_per_phase(monkeypatch, case):
 
 @pytest.mark.parametrize("shard", [None, (0, 2), (1, 2)])
 def test_exhaustive_bit_identical_with_bounds(shard):
-    workload = harness.tiny_mttkrp()
-    arch = harness.small_arch()
-    on = exhaustive_search(workload, arch, orders_per_level=2,
-                           shard=shard, bound=True)
-    off = exhaustive_search(workload, arch, orders_per_level=2,
-                            shard=shard, bound=False)
-    assert on.found and off.found
-    assert (mapping_fingerprint(on.mapping)
-            == mapping_fingerprint(off.mapping))
-    assert on.cost.edp == off.cost.edp
-    assert on.cost.energy_pj == off.cost.energy_pj
-    # The prune is real, and evaluated + provably-skipped candidates
-    # partition this shard's share of the space exactly.
-    stats = on.search_stats
-    assert stats.bound_candidates_skipped > 0
-    assert (on.evaluations + stats.bound_candidates_skipped
-            == off.evaluations)
+    result = exhaustive_search(harness.tiny_mttkrp(), harness.small_arch(),
+                               orders_per_level=2, shard=shard)
+    _assert_matches_oracle(result, "dense", shard)
 
 
 def test_exhaustive_bit_identical_with_bounds_sparse():
-    workload = harness.tiny_mttkrp()
-    arch = harness.small_arch()
-    spec = SPARSE_SPECS["csr-skipping"]
-    on = exhaustive_search(workload, arch, orders_per_level=2,
-                           sparsity=spec, bound=True)
-    off = exhaustive_search(workload, arch, orders_per_level=2,
-                            sparsity=spec, bound=False)
-    assert on.found and off.found
-    assert (mapping_fingerprint(on.mapping)
-            == mapping_fingerprint(off.mapping))
-    assert on.cost.edp == off.cost.edp
+    result = exhaustive_search(harness.tiny_mttkrp(), harness.small_arch(),
+                               orders_per_level=2,
+                               sparsity=SPARSE_SPECS["csr-skipping"])
+    _assert_matches_oracle(result, "csr-skipping")
+
+
+def test_exhaustive_prunes_effectively():
+    """On the default tiny machine the walk skips at least 30% of the
+    MTTKRP space without evaluating it."""
+    workload = mttkrp(4, 4, 2, 4)
+    arch = tiny()
+    size = full_space_size(workload, arch, 2)
+    assert size == 32_000
+    result = exhaustive_search(workload, arch, orders_per_level=2)
+    skipped = result.search_stats.bound_candidates_skipped
+    assert result.evaluations + skipped == size
+    assert skipped >= 0.3 * size
 
 
 def test_exhaustive_scalar_path_matches_vector_path_under_bounds():

@@ -1,15 +1,15 @@
 """Differential suite: the cohort pipeline is bit-identical to scalar.
 
 The cohort producers (``repro.mapspace.batch``: the full-space
-``SpaceDecoder``/``full_space_cohorts`` and the sweeps' ``NestCohort``)
-and ``SearchEngine.evaluate_cohort`` must reproduce the scalar pipeline
-*bit-for-bit*: the same candidates in the same order as
-``full_mapping_space(shard=)``, the same shard unions, the same best
+``SpaceDecoder`` and the sweeps' ``NestCohort``) and
+``SearchEngine.evaluate_cohort`` must reproduce the scalar pipeline
+*bit-for-bit*: the same candidates in the same order as the test
+oracle's full-space stream, the same shard unions, the same best
 mapping / cost / evaluation counts.  Every test here runs both paths
-and compares — the mapper differentials switch onto the no-numpy paths
-with ``harness.scalar_paths``; on a numpy-less install cohorts stage no
-matrices and the exhaustive oracle walks the scalar space, which must
-still satisfy the same contract.
+and compares — the decoder and mapper differentials switch onto the
+no-numpy paths with ``harness.scalar_paths``; on a numpy-less install
+the decoder builds its rows by integer division and must still satisfy
+the same contract.
 """
 
 from __future__ import annotations
@@ -20,74 +20,87 @@ from repro.baselines.dmazerunner import dmazerunner_search
 from repro.baselines.exhaustive import exhaustive_search
 from repro.baselines.interstellar import interstellar_search
 from repro.core.scheduler import SchedulerOptions, SunstoneScheduler
-from repro.mapspace import (
-    FactorLattice,
-    full_mapping_space,
-    full_space_cohorts,
-    full_space_size,
-)
+from repro.mapspace import SpaceDecoder, full_space_size
 from repro.mapspace.batch import NestCohort
-from repro.mapspace.mapspace import assignment_slots
 from repro.model import HAVE_NUMPY
 from repro.search import SearchEngine, mapping_fingerprint
 from tests import harness
+from tests.mapspace_oracle import (
+    oracle_factor_assignments,
+    oracle_full_space_stream,
+)
 
 
 # ---------------------------------------------------------------------------
-# the factor lattice's split matrix (the decoder's staging)
+# the full-space decoder (the exhaustive producer)
 # ---------------------------------------------------------------------------
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="needs numpy")
-def test_factor_lattice_batch_matches_scalar():
-    """``split_matrix()`` row ``i`` is the ``i``-th split of the scalar
-    stream; without numpy there is no matrix."""
-    arch = harness.small_arch()
-    workload = harness.tiny_mttkrp()
-    slots = assignment_slots(arch)
-    for dim in workload.dim_names:
-        lattice = FactorLattice(dim, workload.dims[dim], slots)
-        rows = [tuple(row) for row in lattice.split_matrix().tolist()]
-        assert rows == list(lattice.splits()), dim
-        with harness.scalar_paths():
-            assert lattice.split_matrix() is None
+def _rows(mapping):
+    """A mapping's per-level nests, trivial loops included, and spatial
+    factors."""
+    return tuple((level.temporal, level.spatial) for level in mapping.levels)
 
 
-# ---------------------------------------------------------------------------
-# full-space cohorts (the exhaustive producer)
-# ---------------------------------------------------------------------------
-
-def _scalar_fingerprints(workload, arch, orders_per_level, shard=None):
-    return [mapping_fingerprint(m) for m in full_mapping_space(
-        workload, arch, orders_per_level, shard=shard)]
+def _oracle_rows():
+    """The oracle's stream of the tiny MTTKRP space (two orders per
+    level), as rows in enumeration order."""
+    return [_rows(m) for m in oracle_full_space_stream(
+        harness.tiny_mttkrp(), harness.small_arch(), 2)]
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="needs numpy")
-def test_full_space_cohorts_match_scalar_stream():
-    workload = harness.tiny_mttkrp()
-    arch = harness.small_arch()
-    scalar = _scalar_fingerprints(workload, arch, 3)
-    batch = []
-    for cohort in full_space_cohorts(workload, arch, 3):
+def _assert_decodes(decoder, ks, expected):
+    """``decoder`` decodes the indices ``ks``, in the walker's 1024-row
+    cohorts, to the rows ``expected``; each row's
+    ``fingerprint_levels`` is the per-level part of its materialized
+    fingerprint."""
+    assert len(ks) == len(expected)
+    for start in range(0, len(ks), 1024):
+        cohort = decoder.decode(ks[start:start + 1024])
+        rows = []
         for i in range(len(cohort)):
-            batch.append(mapping_fingerprint(cohort.materialize(i)))
+            mapping = cohort.materialize(i)
             assert (cohort.fingerprint_levels(i)
-                    == mapping_fingerprint(cohort.materialize(i))[2])
-    assert batch == scalar
+                    == mapping_fingerprint(mapping)[2])
+            rows.append(_rows(mapping))
+        assert rows == expected[start:start + 1024]
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="needs numpy")
+def test_space_decoder_radices_match_closed_form():
+    """The decoder's per-dimension split lists are the oracle's, and its
+    radices multiply out to the closed-form space size."""
+    workload = harness.tiny_mttkrp()
+    arch = harness.small_arch()
+    for orders_per_level in (None, 2, 0):
+        decoder = SpaceDecoder(workload, arch, orders_per_level)
+        slots = len(decoder.slots)
+        assert decoder.splits == [
+            list(oracle_factor_assignments(workload.dims[d], slots))
+            for d in workload.dim_names]
+        assert decoder.radices[len(workload.dim_names):] == (
+            [len(decoder.order_items)] * arch.num_levels)
+        assert decoder.total == full_space_size(workload, arch,
+                                                orders_per_level)
+
+
+def test_full_space_cohorts_match_scalar_stream():
+    """Decoding every index yields the oracle stream, vectorised and by
+    integer division alike."""
+    decoder = SpaceDecoder(harness.tiny_mttkrp(), harness.small_arch(), 2)
+    oracle = _oracle_rows()
+    _assert_decodes(decoder, range(decoder.total), oracle)
+    with harness.scalar_paths():
+        _assert_decodes(decoder, range(decoder.total), oracle)
+
+
 @pytest.mark.parametrize("count", [2, 7])
 def test_full_space_cohort_shards_interleave_exactly(count):
-    workload = harness.tiny_mttkrp()
-    arch = harness.small_arch()
-    scalar = _scalar_fingerprints(workload, arch, 2)
+    """Shard-strided index sets decode to the strided slices of the
+    oracle stream."""
+    decoder = SpaceDecoder(harness.tiny_mttkrp(), harness.small_arch(), 2)
+    oracle = _oracle_rows()
     for index in range(count):
-        part = []
-        for cohort in full_space_cohorts(workload, arch, 2,
-                                         shard=(index, count)):
-            part.extend(mapping_fingerprint(cohort.materialize(i))
-                        for i in range(len(cohort)))
-        assert part == scalar[index::count]
+        _assert_decodes(decoder, range(index, decoder.total, count),
+                        oracle[index::count])
 
 
 # ---------------------------------------------------------------------------
@@ -102,11 +115,7 @@ def _cost_tuple(cost):
 def test_evaluate_cohort_matches_evaluate_many():
     workload = harness.tiny_mttkrp()
     arch = harness.small_arch()
-    cohorts = (full_space_cohorts(workload, arch, 2)
-               if HAVE_NUMPY else None)
-    if cohorts is None:
-        pytest.skip("needs the vectorized decode (numpy)")
-    cohort = next(iter(cohorts))
+    cohort = SpaceDecoder(workload, arch, 2).decode(range(1024))
     mappings = [cohort.materialize(i) for i in range(len(cohort))]
     a, b = SearchEngine(), SearchEngine()
     batch_costs = a.evaluate_cohort(cohort)
@@ -124,8 +133,8 @@ def test_evaluate_cohort_scalar_fallback_matches():
     workload = harness.tiny_mttkrp()
     arch = harness.small_arch()
     if not HAVE_NUMPY:
-        pytest.skip("needs the vectorized decode (numpy)")
-    cohort = next(iter(full_space_cohorts(workload, arch, 2)))
+        pytest.skip("needs the vectorized evaluation (numpy)")
+    cohort = SpaceDecoder(workload, arch, 2).decode(range(1024))
     mappings = [cohort.materialize(i) for i in range(len(cohort))]
     vectorised = SearchEngine()
     batch_costs = vectorised.evaluate_cohort(cohort)
@@ -202,11 +211,14 @@ def test_exhaustive_batch_gen_is_bit_identical():
     workload = harness.tiny_mttkrp()
     arch = harness.small_arch()
     for shard in (None, (0, 3), (2, 3)):
-        for bound in (True, False):
-            on, off = _on_and_off(lambda: exhaustive_search(
-                workload, arch, orders_per_level=2, shard=shard,
-                bound=bound))
-            harness.assert_same_search_result(on, off)
+        on, off = _on_and_off(lambda: exhaustive_search(
+            workload, arch, orders_per_level=2, shard=shard))
+        harness.assert_same_search_result(on, off)
+        assert on.certificate == off.certificate
+        for counter in ("bound_regions_tested", "bound_regions_pruned",
+                        "bound_candidates_skipped"):
+            assert (getattr(on.search_stats, counter)
+                    == getattr(off.search_stats, counter))
 
 
 def test_exhaustive_batch_gen_shards_union_to_full():

@@ -40,8 +40,8 @@ from repro.core.scheduler import (
 )
 from repro.mapspace import (
     FactorLattice,
+    SpaceDecoder,
     check_shard,
-    full_mapping_space,
     full_space_size,
     order_permutations,
     ordered_factorizations,
@@ -237,8 +237,7 @@ def test_enumeration_is_deterministic():
                 for search in (build(workload, arch, None) for _ in range(2)))
             assert first == second and first
     workload, arch = mttkrp(4, 2, 2, 4), tiny()
-    first, second = ([mapping_fingerprint(m)
-                      for m in full_mapping_space(workload, arch, 2)]
+    first, second = (_decoded(SpaceDecoder(workload, arch, 2))
                      for _ in range(2))
     assert first == second
 
@@ -362,18 +361,23 @@ def test_dmaze_tile_quota_stops_the_grid(quota):
 # the full mapping space (exhaustive mapper's space)
 # ---------------------------------------------------------------------------
 
+def _decoded(decoder, ks=None):
+    """Fingerprints of the decoder's rows at ``ks`` (every row by
+    default)."""
+    cohort = decoder.decode(range(decoder.total) if ks is None else ks)
+    return [mapping_fingerprint(cohort.materialize(i))
+            for i in range(len(cohort))]
+
+
 def test_full_mapping_space_size_and_shards():
     workload = mttkrp(4, 2, 2, 4)
     arch = tiny()
-    full = [mapping_fingerprint(m)
-            for m in full_mapping_space(workload, arch, orders_per_level=2)]
-    assert full_space_size(workload, arch, 2) == len(full)
-    shards = [
-        [mapping_fingerprint(m) for m in full_mapping_space(
-            workload, arch, orders_per_level=2, shard=(i, 3))]
-        for i in range(3)
-    ]
-    # Shard streams are exactly the strided slices of the canonical stream.
+    decoder = SpaceDecoder(workload, arch, 2)
+    full = _decoded(decoder)
+    assert full_space_size(workload, arch, 2) == decoder.total == len(full)
+    shards = [_decoded(decoder, range(i, decoder.total, 3))
+              for i in range(3)]
+    # Shard index sets decode to the strided slices of the whole space.
     for i, shard in enumerate(shards):
         assert shard == full[i::3]
     assert sum(len(s) for s in shards) == len(full)

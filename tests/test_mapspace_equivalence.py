@@ -34,7 +34,7 @@ from repro.baselines.random_search import (
     simba_constraints,
 )
 from repro.core.scheduler import SchedulerOptions, SunstoneScheduler
-from repro.mapspace import full_mapping_space, full_space_size, prime_factors
+from repro.mapspace import SpaceDecoder, full_space_size, prime_factors
 from repro.mapspace.mapspace import spatial_boundaries
 from repro.search import SearchEngine, mapping_fingerprint
 from repro.workloads import mttkrp
@@ -188,18 +188,24 @@ def test_constrained_sampler_stream_matches_oracle():
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive: composed full space == historical stream, and shards union
+# Exhaustive: decoded full space == historical stream, and shards union
 # ---------------------------------------------------------------------------
 
 def test_full_mapping_space_matches_oracle_stream():
+    """Decoding every index of the full space yields the historical
+    stream, in order."""
     workload = mttkrp(4, 4, 2, 4)
     arch = tiny()
-    live = [mapping_fingerprint(m)
-            for m in full_mapping_space(workload, arch, orders_per_level=3)]
-    oracle = [mapping_fingerprint(m)
-              for m in oracle_full_space_stream(workload, arch, 3)]
-    assert live == oracle
-    assert full_space_size(workload, arch, 3) == len(oracle)
+    decoder = SpaceDecoder(workload, arch, orders_per_level=3)
+    oracle = oracle_full_space_stream(workload, arch, 3)
+    for start in range(0, decoder.total, 1024):
+        cohort = decoder.decode(
+            range(start, min(start + 1024, decoder.total)))
+        for i in range(len(cohort)):
+            assert (mapping_fingerprint(cohort.materialize(i))
+                    == mapping_fingerprint(next(oracle)))
+    assert next(oracle, None) is None
+    assert full_space_size(workload, arch, 3) == decoder.total
 
 
 def test_exhaustive_shards_union_recovers_the_best():
@@ -234,7 +240,7 @@ def test_exhaustive_shards_union_recovers_the_best():
 def test_gamma_decode_matches_oracle():
     workload = mttkrp(16, 8, 8, 16)
     arch = conventional()
-    search = _GammaSearch(workload, arch, GammaConfig(seed=3), True,
+    search = _GammaSearch(workload, arch, GammaConfig(seed=3),
                           SearchEngine())
     for _ in range(50):
         genome = search.random_genome()
