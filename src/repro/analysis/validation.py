@@ -9,15 +9,12 @@ with every mapper judged by the same validity rules (capacity, fanout,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 from ..arch.spec import Architecture
-from ..baselines.cosa import cosa_search
-from ..baselines.dmazerunner import DMAZE_FAST, dmazerunner_search
-from ..baselines.interstellar import interstellar_search
-from ..baselines.random_search import TIMELOOP_FAST, timeloop_search
-from ..core.scheduler import SunstoneScheduler
+from ..core.scheduler import SchedulerOptions
+from ..mappers import run_mapper, select_mappers
 from ..workloads.expression import Workload
 
 
@@ -38,57 +35,34 @@ class MapperOutcome:
         return 1.0 - self.valid / self.attempted
 
 
-def _run_sunstone(workload: Workload, arch: Architecture):
-    result = SunstoneScheduler(workload, arch).schedule()
-
-    class _Shim:
-        found = result.found
-        valid = result.found and result.cost.valid
-        edp = result.edp
-    return _Shim()
-
-
-_MAPPERS: dict[str, Callable] = {
-    "sunstone": _run_sunstone,
-    "timeloop-like": lambda wl, arch: timeloop_search(wl, arch,
-                                                      TIMELOOP_FAST),
-    "dmazerunner-like": lambda wl, arch: dmazerunner_search(wl, arch,
-                                                            DMAZE_FAST),
-    "interstellar-like": interstellar_search,
-    "cosa-like": cosa_search,
-}
-
-
 def validity_survey(
     workloads: Sequence[Workload],
     arch: Architecture,
     mappers: Sequence[str] | None = None,
 ) -> dict[str, MapperOutcome]:
-    """Run every mapper over every workload and tabulate validity rates."""
-    names = list(mappers) if mappers else list(_MAPPERS)
-    unknown = [n for n in names if n not in _MAPPERS]
-    if unknown:
-        raise ValueError(f"unknown mappers {unknown}")
+    """Run every mapper over every workload and tabulate validity rates.
+
+    ``mappers`` selects as ``repro compare --mappers`` does
+    (:func:`repro.mappers.select_mappers`; every mapper when ``None``),
+    and each runs with default options."""
+    names = select_mappers(mappers)
+    options = SchedulerOptions()
     outcomes = {name: MapperOutcome(name) for name in names}
     for workload in workloads:
         results = {}
         for name in names:
             outcome = outcomes[name]
             outcome.attempted += 1
-            result = _MAPPERS[name](workload, arch)
-            results[name] = result
-            if getattr(result, "found", False):
+            result = results[name] = run_mapper(name, workload, arch,
+                                                options)
+            if result.found:
                 outcome.returned += 1
-                if getattr(result, "valid", False):
+                if result.valid:
                     outcome.valid += 1
-        best_edp = min(
-            (r.edp for r in results.values()
-             if getattr(r, "found", False) and getattr(r, "valid", False)),
-            default=float("inf"),
-        )
+        best_edp = min((r.edp for r in results.values()
+                        if r.found and r.valid), default=float("inf"))
         for name, result in results.items():
-            if (getattr(result, "found", False)
-                    and getattr(result, "valid", False)
+            if (result.found and result.valid
                     and result.edp <= best_edp * 1.02):
                 outcomes[name].best += 1
     return outcomes

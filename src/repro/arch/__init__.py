@@ -1,6 +1,7 @@
 """Accelerator architecture descriptions and the paper's Table IV presets."""
 
 from .presets import (
+    PRESETS,
     conventional,
     diannao_like,
     simba_like,
@@ -25,6 +26,7 @@ __all__ = [
     "LINK_KINDS",
     "UNIFIED",
     "words",
+    "PRESETS",
     "conventional",
     "simba_like",
     "diannao_like",

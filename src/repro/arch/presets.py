@@ -268,3 +268,14 @@ def two_chiplet(tech: str = DEFAULT_TECH) -> Architecture:
         mac_word_bits=word_bits,
     )
     return resolve_architecture(arch, tech)
+
+
+# The presets by name: the CLI's ``--arch`` names and a serve job's
+# architecture presets.
+PRESETS = {
+    "conventional": conventional,
+    "simba": simba_like,
+    "diannao": diannao_like,
+    "tiny": tiny,
+    "two-chiplet": two_chiplet,
+}

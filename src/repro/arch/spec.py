@@ -246,11 +246,6 @@ class Architecture:
         return len(self.levels)
 
     @property
-    def spatial_levels(self) -> tuple[int, ...]:
-        """Indices of levels with a spatial boundary above them (fanout>1)."""
-        return tuple(i for i, lvl in enumerate(self.levels) if lvl.fanout > 1)
-
-    @property
     def total_fanout(self) -> int:
         """Peak spatial parallelism (excluding intra-lane vector width)."""
         return math.prod(level.fanout for level in self.levels)

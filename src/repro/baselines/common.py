@@ -10,6 +10,7 @@ from ..search import MappingOutcome, SearchStats, resolve_engine
 __all__ = [
     "SearchResult",
     "certificate_from_bound",
+    "from_schedule",
     "prime_factors",
     "resolve_engine",
 ]
@@ -50,3 +51,21 @@ def certificate_from_bound(bound_stats) -> dict | None:
     if gap is not None:
         cert["gap_pct"] = gap
     return cert
+
+
+def from_schedule(mapper: str, result,
+                  invalid_reason: str = "") -> SearchResult:
+    """A :class:`~repro.core.scheduler.ScheduleResult` as the
+    ``SearchResult`` of ``mapper``: the scheduler's evaluation count,
+    wall time, engine telemetry and certificate; ``invalid_reason``
+    explains a search that found nothing."""
+    return SearchResult(
+        mapper=mapper,
+        mapping=result.mapping,
+        cost=result.cost,
+        evaluations=result.stats.evaluations,
+        wall_time_s=result.stats.wall_time_s,
+        invalid_reason="" if result.found else invalid_reason,
+        search_stats=result.stats.search,
+        certificate=certificate_from_bound(result.stats.bound),
+    )

@@ -18,17 +18,21 @@ Two documented limitations are reproduced:
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass
 from typing import Iterator
 
 from ..arch.spec import Architecture
-from ..core.scheduler import SchedulerStats, SunstoneScheduler, _State
+from ..core.scheduler import (
+    SchedulerOptions,
+    SchedulerStats,
+    SunstoneScheduler,
+    _State,
+)
 from ..core.tiling_tree import divisors
 from ..core.unrolling import enumerate_unrollings, unroll_size
 from ..sparse.spec import SparsitySpec
 from ..workloads.expression import Workload
-from .common import SearchResult, certificate_from_bound
+from .common import SearchResult, from_schedule
 
 
 @dataclass(frozen=True)
@@ -180,17 +184,13 @@ def dmazerunner_search(
 
     Found results carry the scheduler's optimality certificate.
     """
-    start = time.perf_counter()
     if _is_asymmetric_convolution(workload):
         return SearchResult(
             mapper="dmazerunner-like",
             mapping=None,
             cost=None,
-            wall_time_s=time.perf_counter() - start,
             invalid_reason="asymmetric convolution not supported",
         )
-    from ..core.scheduler import SchedulerOptions
-
     # dMazeRunner has no alpha-beta; rank candidates purely by estimate and
     # keep a beam for tractability.
     options = SchedulerOptions(
@@ -204,25 +204,6 @@ def dmazerunner_search(
         shard=shard,
     )
     search = _DMazeSearch(workload, arch, config, options, engine=engine)
-    result = search.schedule()
-    elapsed = time.perf_counter() - start
-    if not result.found:
-        return SearchResult(
-            mapper="dmazerunner-like",
-            mapping=None,
-            cost=None,
-            evaluations=result.stats.evaluations,
-            wall_time_s=elapsed,
-            invalid_reason="no mapping meets the minimum utilization "
-                           "constraints",
-            search_stats=result.stats.search,
-        )
-    return SearchResult(
-        mapper="dmazerunner-like",
-        mapping=result.mapping,
-        cost=result.cost,
-        evaluations=result.stats.evaluations,
-        wall_time_s=elapsed,
-        search_stats=result.stats.search,
-        certificate=certificate_from_bound(result.stats.bound),
-    )
+    return from_schedule("dmazerunner-like", search.schedule(),
+                         invalid_reason="no mapping meets the minimum "
+                                        "utilization constraints")

@@ -11,17 +11,21 @@ against the Unrolling Principle) — reproduced here by construction.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, fields
 from typing import Callable, Iterator
 
 from ..arch.spec import Architecture
-from ..core.scheduler import SchedulerOptions, SchedulerStats, SunstoneScheduler, _State
+from ..core.scheduler import (
+    SchedulerOptions,
+    SchedulerStats,
+    SunstoneScheduler,
+    _State,
+)
 from ..core.tiling_tree import enumerate_tilings
 from ..core.unrolling import unroll_candidates
 from ..sparse.spec import SparsitySpec
 from ..workloads.expression import Workload
-from .common import SearchResult, certificate_from_bound
+from .common import SearchResult, from_schedule
 
 
 @dataclass(frozen=True)
@@ -127,7 +131,6 @@ def interstellar_search(
 
     Found results carry the scheduler's optimality certificate.
     """
-    start = time.perf_counter()
     options = SchedulerOptions(
         alpha_beta=False,
         beam_width=config.beam_width,
@@ -140,24 +143,6 @@ def interstellar_search(
     )
     search = _InterstellarSearch(workload, arch, config, options,
                                  engine=engine)
-    result = search.schedule()
-    elapsed = time.perf_counter() - start
-    if not result.found:
-        return SearchResult(
-            mapper="interstellar-like",
-            mapping=None,
-            cost=None,
-            evaluations=result.stats.evaluations,
-            wall_time_s=elapsed,
-            invalid_reason="no mapping can use the preset unrolling",
-            search_stats=result.stats.search,
-        )
-    return SearchResult(
-        mapper="interstellar-like",
-        mapping=result.mapping,
-        cost=result.cost,
-        evaluations=result.stats.evaluations,
-        wall_time_s=elapsed,
-        search_stats=result.stats.search,
-        certificate=certificate_from_bound(result.stats.bound),
-    )
+    return from_schedule("interstellar-like", search.schedule(),
+                         invalid_reason="no mapping can use the preset "
+                                        "unrolling")

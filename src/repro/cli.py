@@ -25,24 +25,11 @@ import signal
 import sys
 from typing import Sequence
 
-from .arch import (
-    Architecture,
-    conventional,
-    diannao_like,
-    simba_like,
-    tiny,
-    two_chiplet,
-)
-from .baselines import (
-    TIMELOOP_FAST,
-    cosa_search,
-    dmazerunner_search,
-    interstellar_search,
-    timeloop_search,
-)
+from . import workloads
+from .arch import PRESETS, Architecture
 from .baselines.common import certificate_from_bound
-from .baselines.gamma import gamma_search
 from .core import SchedulerOptions, schedule
+from .mappers import cost_doc, result_doc, run_mapper, select_mappers
 from .mapping import render_nest
 from .mapping.serialize import (
     architecture_to_dict,
@@ -60,46 +47,7 @@ from .search import (
     flush_active_journals,
 )
 from .sparse import SparsityError, SparsitySpec, spec_from_cli
-from .workloads import (
-    Workload,
-    attention_scores,
-    attention_values,
-    batched_matmul,
-    conv1d,
-    conv2d,
-    depthwise_conv2d,
-    fully_connected,
-    grouped_conv2d,
-    mmc,
-    mttkrp,
-    sddmm,
-    tcl,
-    ttmc,
-)
-
-ARCHITECTURES = {
-    "conventional": conventional,
-    "simba": simba_like,
-    "diannao": diannao_like,
-    "tiny": tiny,
-    "two-chiplet": two_chiplet,
-}
-
-_WORKLOAD_BUILDERS = {
-    "conv1d": (conv1d, ("K", "C", "P", "R")),
-    "conv2d": (conv2d, ("N", "K", "C", "P", "Q", "R", "S")),
-    "fc": (fully_connected, ("N", "K", "C")),
-    "mttkrp": (mttkrp, ("I", "K", "L", "J")),
-    "sddmm": (sddmm, ("I", "J", "K")),
-    "ttmc": (ttmc, ("I", "J", "K", "L", "M")),
-    "mmc": (mmc, ("I", "J", "K", "L")),
-    "tcl": (tcl, ("I", "J", "K", "L", "M", "N")),
-    "dwconv2d": (depthwise_conv2d, ("N", "C", "P", "Q", "R", "S")),
-    "gconv2d": (grouped_conv2d, ("N", "G", "K", "C", "P", "Q", "R", "S")),
-    "bmm": (batched_matmul, ("B", "M", "N", "K")),
-    "attn_qk": (attention_scores, ("B", "H", "L", "D")),
-    "attn_av": (attention_values, ("B", "H", "L", "D")),
-}
+from .workloads import Workload
 
 
 def _parse_dims(pairs: Sequence[str]) -> dict[str, int]:
@@ -108,24 +56,16 @@ def _parse_dims(pairs: Sequence[str]) -> dict[str, int]:
         if "=" not in pair:
             raise SystemExit(f"expected DIM=SIZE, got {pair!r}")
         name, _, value = pair.partition("=")
-        dims[name.upper()] = int(value)
+        dims[name] = int(value)
     return dims
 
 
 def build_workload(kind: str, dims: Sequence[str]) -> Workload:
     """Construct a library workload from DIM=SIZE arguments."""
-    if kind not in _WORKLOAD_BUILDERS:
-        raise SystemExit(
-            f"unknown workload {kind!r}; choose from "
-            f"{sorted(_WORKLOAD_BUILDERS)}"
-        )
-    builder, required = _WORKLOAD_BUILDERS[kind]
-    given = _parse_dims(dims)
-    missing = [d for d in required if d not in given]
-    if missing:
-        raise SystemExit(f"{kind} needs dimensions {list(required)}; "
-                         f"missing {missing}")
-    return builder(**{d: given[d] for d in required})
+    try:
+        return workloads.build_workload(kind, _parse_dims(dims))
+    except LookupError as error:
+        raise SystemExit(str(error))
 
 
 def _resolve_tech(name: str | None):
@@ -148,10 +88,10 @@ def build_architecture(name: str, tech: str | None = None) -> Architecture:
     metadata (configs written from presets do).
     """
     pack = _resolve_tech(tech)
-    if name in ARCHITECTURES:
+    if name in PRESETS:
         if pack is not None:
-            return ARCHITECTURES[name](tech=pack)
-        return ARCHITECTURES[name]()
+            return PRESETS[name](tech=pack)
+        return PRESETS[name]()
     if name.endswith(".json"):
         from .mapping.serialize import architecture_from_dict
         try:
@@ -175,7 +115,7 @@ def build_architecture(name: str, tech: str | None = None) -> Architecture:
             arch = resolve_architecture(arch, pack)
         return arch
     raise SystemExit(f"unknown architecture {name!r}; choose from "
-                     f"{sorted(ARCHITECTURES)} or pass a .json config")
+                     f"{sorted(PRESETS)} or pass a .json config")
 
 
 def _parse_shard(text: str | None) -> tuple[int, int] | None:
@@ -205,21 +145,6 @@ def build_sparsity(args: argparse.Namespace,
         )
     except SparsityError as error:
         raise SystemExit(str(error))
-
-
-def _cost_dict(cost) -> dict:
-    return {
-        "energy_pj": cost.energy_pj,
-        "cycles": cost.cycles,
-        "edp": cost.edp,
-        "valid": cost.valid,
-        "violations": list(cost.violations),
-        "utilization": cost.utilization,
-        "compute_energy": cost.compute_energy,
-        "noc_energy": cost.noc_energy,
-        "chip2chip_energy": cost.chip2chip_energy,
-        "level_energy": dict(cost.level_energy),
-    }
 
 
 def _certificate_line(certificate: dict | None) -> str | None:
@@ -318,7 +243,7 @@ def cmd_schedule(args: argparse.Namespace) -> int:
             "objective": args.objective,
             "sparsity": sparsity.describe() if sparsity else None,
             "mapping": mapping_to_dict(result.mapping),
-            "cost": _cost_dict(result.cost),
+            "cost": cost_doc(result.cost),
             "evaluations": result.stats.evaluations,
             "wall_time_s": result.stats.wall_time_s,
             "search": result.stats.search.to_dict(),
@@ -327,81 +252,15 @@ def cmd_schedule(args: argparse.Namespace) -> int:
     return 0
 
 
-def compare_runners(workload: Workload, arch: Architecture,
-                    options: SchedulerOptions, *, engine=None) -> dict:
-    """Mapper-name -> search thunk, in the canonical comparison order.
-
-    This is *the* definition of what ``repro compare`` runs per mapper
-    (the serve daemon's compare jobs call it too, which is what makes
-    their rows bit-identical to the CLI's).  ``engine`` is an optional
-    pre-warmed engine for the Sunstone row only — the baselines always
-    build their own, keeping their exact cold configuration.
-    """
-    cache, sparsity = options.cache, options.sparsity
-    cache_size, shard = options.cache_size, options.shard
-    return {
-        "sunstone": lambda: schedule(workload, arch, options,
-                                     engine=engine),
-        "timeloop-like": lambda: timeloop_search(workload, arch,
-                                                 TIMELOOP_FAST,
-                                                 cache=cache,
-                                                 sparsity=sparsity,
-                                                 cache_size=cache_size),
-        "dmazerunner-like": lambda: dmazerunner_search(workload, arch,
-                                                       cache=cache,
-                                                       sparsity=sparsity,
-                                                       cache_size=cache_size,
-                                                       shard=shard),
-        "interstellar-like": lambda: interstellar_search(
-            workload, arch, cache=cache, sparsity=sparsity,
-            cache_size=cache_size, shard=shard),
-        "cosa-like": lambda: cosa_search(workload, arch,
-                                         sparsity=sparsity,
-                                         cache_size=cache_size),
-        "gamma-like": lambda: gamma_search(workload, arch, cache=cache,
-                                           sparsity=sparsity,
-                                           cache_size=cache_size),
-    }
-
-
-def mapper_row(name: str, result) -> dict:
-    """The comparison-table document of one mapper's outcome (shared by
-    ``repro compare`` and the serve daemon's compare jobs)."""
-    time_s = getattr(result, "wall_time_s", None)
-    if time_s is None:
-        time_s = result.stats.wall_time_s
-    evals = getattr(result, "evaluations", None)
-    if evals is None:
-        evals = result.stats.evaluations
-    search_stats = getattr(result, "search_stats", None)
-    if search_stats is None and hasattr(result, "stats"):
-        search_stats = getattr(result.stats, "search", None)
-    status = "ok" if getattr(result, "valid", None) or (
-        result.found and result.cost.valid) else "invalid"
-    certificate = getattr(result, "certificate", None)
-    if certificate is None and hasattr(result, "stats"):
-        certificate = certificate_from_bound(
-            getattr(result.stats, "bound", None))
-    return {
-        "mapper": name,
-        "found": result.found,
-        "status": status,
-        "evaluations": evals,
-        "wall_time_s": time_s,
-        "cost": _cost_dict(result.cost) if result.found else None,
-        "mapping": (mapping_to_dict(result.mapping)
-                    if result.found else None),
-        "search": (search_stats.to_dict()
-                   if search_stats is not None else None),
-        "certificate": certificate,
-    }
-
-
 def cmd_compare(args: argparse.Namespace) -> int:
     """Run Sunstone and the selected baselines; print a comparison table."""
     workload = build_workload(args.workload, args.dims)
     arch = build_architecture(args.arch, args.tech)
     sparsity = build_sparsity(args, workload)
+    try:
+        names = select_mappers(args.mappers)
+    except ValueError as error:
+        raise SystemExit(str(error))
     options = SchedulerOptions(cache=not args.no_cache,
                                sparsity=sparsity,
                                cache_size=args.cache_size,
@@ -413,16 +272,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
         "sparsity": sparsity.describe() if sparsity else None,
         "shard": args.shard,
     })
-    searches = compare_runners(workload, arch, options)
-    selected = None
-    if args.mappers:
-        selected = {m.strip() for m in args.mappers.split(",") if m.strip()}
     mapper_docs: list[dict] = []
     profiles: list[tuple[str, str]] = []
-    for name, runner in searches.items():
-        if (selected is not None and name != "sunstone"
-                and name.split("-")[0] not in selected):
-            continue
+    for name in names:
         if journal is not None:
             entry = journal.last("mapper", name=name)
             if entry is not None:
@@ -430,14 +282,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
                 # row instead of repeating the search.
                 mapper_docs.append(entry["doc"])
                 continue
-        result = runner()
-        doc = mapper_row(name, result)
+        result = run_mapper(name, workload, arch, options)
+        doc = result_doc(result)
         mapper_docs.append(doc)
-        if args.profile and doc["search"] is not None:
-            search_stats = getattr(result, "search_stats", None)
-            if search_stats is None and hasattr(result, "stats"):
-                search_stats = getattr(result.stats, "search", None)
-            profiles.append((name, search_stats.profile_summary()))
+        if args.profile and result.search_stats is not None:
+            profiles.append((name, result.search_stats.profile_summary()))
         if journal is not None:
             journal.append({"type": "mapper", "name": name, "doc": doc})
     if sparsity is not None:
@@ -506,7 +355,7 @@ def cmd_network(args: argparse.Namespace) -> int:
                     "layer": entry.workload.name,
                     "found": entry.result.found,
                     "shared_with": entry.shared_with,
-                    "cost": (_cost_dict(entry.result.cost)
+                    "cost": (cost_doc(entry.result.cost)
                              if entry.result.found else None),
                     "mapping": (mapping_to_dict(entry.result.mapping)
                                 if entry.result.found else None),
@@ -727,7 +576,7 @@ def _build_job_spec(args: argparse.Namespace) -> dict:
                             "format": args.format, "saf": args.saf}
     if args.kind == "schedule":
         spec["shards"] = args.shards
-    if args.kind == "compare" and args.mappers:
+    if args.kind == "compare" and args.mappers is not None:
         spec["mappers"] = args.mappers
     return spec
 

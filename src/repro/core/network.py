@@ -5,8 +5,7 @@ module adds the obvious production conveniences:
 
 * shape deduplication — ResNet-18 has 20 conv layers but only 11 distinct
   shapes; identical shapes share one search;
-* aggregated network totals (energy, cycles, EDP) and per-layer reports;
-* a pluggable mapper so the same harness drives Sunstone or any baseline.
+* aggregated network totals (energy, cycles, EDP) and per-layer reports.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from __future__ import annotations
 import multiprocessing
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 from ..arch.spec import Architecture
 from ..core.scheduler import (
@@ -26,15 +25,8 @@ from ..core.scheduler import (
 from ..mapping.serialize import mapping_from_dict, mapping_to_dict
 from ..model.cost import evaluate as _model_evaluate
 from ..procpool import watch_parent
-from ..search import (
-    CheckpointJournal,
-    SearchEngine,
-    SearchStats,
-    resolve_engine,
-)
+from ..search import CheckpointJournal, SearchEngine, SearchStats
 from ..workloads.expression import Workload
-
-Mapper = Callable[[Workload, Architecture], ScheduleResult]
 
 
 def _schedule_one(args: tuple[Workload, Architecture,
@@ -156,30 +148,25 @@ def schedule_network(
     workloads: Sequence[Workload],
     arch: Architecture,
     options: SchedulerOptions | None = None,
-    mapper: Mapper | None = None,
     processes: int | None = None,
-    engine: SearchEngine | None = None,
     journal: CheckpointJournal | None = None,
 ) -> NetworkSchedule:
-    """Schedule every layer of a network, deduplicating identical shapes.
+    """Schedule every layer of a network with Sunstone, deduplicating
+    identical shapes.
 
-    ``mapper`` defaults to Sunstone; pass a baseline's search function to
-    reuse the same harness (it must return an object with ``found``,
-    ``cost`` and ``mapping``).  ``processes`` > 1 searches distinct shapes
-    in parallel worker processes (the paper runs its tools with 8 threads);
-    only the default Sunstone mapper supports it.
-
-    The default Sunstone path shares one evaluation engine (and hence one
-    result cache) across all layer searches, so near-identical layers
-    dedupe at the evaluation level too.  Shape sharing never changes a
-    result: a repeated shape would rerun the identical search.
+    ``processes`` > 1 searches distinct shapes in parallel worker
+    processes (the paper runs its tools with 8 threads).  Otherwise one
+    evaluation engine (and hence one result cache) spans all layer
+    searches, so near-identical layers dedupe at the evaluation level
+    too.  Shape sharing never changes a result: a repeated shape would
+    rerun the identical search.
 
     ``journal`` (a :class:`~repro.search.CheckpointJournal`) makes the
     run crash-safe: each completed layer search is persisted, and a
     journal opened with ``resume=True`` skips the already-finished layers
     — their stored mappings are re-evaluated with the live cost model, so
     the resumed network totals are bit-identical to an uninterrupted
-    run's.  Only the default Sunstone mapper is journaled.
+    run's.
     """
     start = time.perf_counter()
     opts = options or SchedulerOptions()
@@ -217,7 +204,7 @@ def schedule_network(
 
     totals = SearchStats()
     results: dict[int, ScheduleResult] = {}
-    if processes and processes > 1 and mapper is None:
+    if processes and processes > 1:
         pending = []
         for i in unique_indices:
             prior = restored(i)
@@ -237,13 +224,12 @@ def schedule_network(
                     results[i] = result
                     totals.merge(result.stats.search)
                     record(i, result)
-    elif mapper is None:
-        # Sunstone path: one shared engine (and result cache) spans every
-        # layer search.
-        shared_engine = resolve_engine(engine, cache=opts.cache,
-                                       partial_reuse=opts.partial_reuse,
-                                       sparsity=opts.sparsity,
-                                       cache_size=opts.cache_size)
+    else:
+        # One shared engine (and result cache) spans every layer search.
+        shared_engine = SearchEngine(cache=opts.cache,
+                                     partial_reuse=opts.partial_reuse,
+                                     sparsity=opts.sparsity,
+                                     cache_size=opts.cache_size)
         if journal is not None:
             warm = journal.load_cache_snapshot()
             if warm is not None and shared_engine.cache is not None:
@@ -261,17 +247,6 @@ def schedule_network(
             if journal is not None:
                 journal.save_cache_snapshot(shared_engine.cache)
         totals = shared_engine.stats
-    else:
-        for i in unique_indices:
-            results[i] = mapper(workloads[i], arch)
-        if engine is not None:
-            totals = engine.stats
-        else:
-            for result in results.values():
-                sub = (getattr(getattr(result, "stats", None), "search", None)
-                       or getattr(result, "search_stats", None))
-                if sub is not None:
-                    totals.merge(sub)
 
     layers: list[LayerSchedule] = []
     for i, workload in enumerate(workloads):

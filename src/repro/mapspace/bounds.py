@@ -74,31 +74,27 @@ class Region:
     ``t_factors[i]`` / ``s_factors[i]`` hold the decided temporal /
     spatial factors of level ``i`` (dim -> factor; trivial factors may
     be omitted).  ``free`` maps each dimension to the residual extent
-    not yet placed anywhere.  ``free_min_level`` promises that free
-    factors can only land at levels ``>= free_min_level`` (temporal) or
-    fanout boundaries ``>= free_min_level`` (spatial); ``0`` means
-    anywhere.  A fully decided mapping is a region with ``free`` empty.
+    not yet placed anywhere; free factors may land at any level.  A
+    fully decided mapping is a region with ``free`` empty.
     """
 
-    __slots__ = ("t_factors", "s_factors", "free", "free_min_level")
+    __slots__ = ("t_factors", "s_factors", "free")
 
     def __init__(
         self,
         t_factors: Sequence[TMapping[str, int]],
         s_factors: Sequence[TMapping[str, int]],
         free: TMapping[str, int],
-        free_min_level: int = 0,
     ) -> None:
         self.t_factors = tuple(t_factors)
         self.s_factors = tuple(s_factors)
         self.free = {d: e for d, e in free.items() if e > 1}
-        self.free_min_level = free_min_level
 
     @staticmethod
     def whole(workload: "Workload", num_levels: int) -> "Region":
         """The region containing every mapping of the workload."""
         empty = [{} for _ in range(num_levels)]
-        return Region(empty, list(empty), dict(workload.dims), 0)
+        return Region(empty, list(empty), dict(workload.dims))
 
     @staticmethod
     def from_splits(
@@ -117,7 +113,7 @@ class Region:
         temporal, spatial = stores_from_splits(dims, splits, slots,
                                                arch.num_levels)
         free = {d: e for d, e in workload.dims.items() if d not in decided}
-        return Region(temporal, spatial, free, 0)
+        return Region(temporal, spatial, free)
 
     @staticmethod
     def from_mapping(mapping: "Mapping") -> "Region":
@@ -126,7 +122,6 @@ class Region:
             [lvl.temporal_factors for lvl in mapping.levels],
             [lvl.spatial_factors for lvl in mapping.levels],
             {},
-            len(mapping.levels),
         )
 
 
@@ -200,7 +195,6 @@ class BoundModel:
         energy = self.energy_ops * info.mac_energy
         sizes_cache: dict[int, dict[str, int]] = {}
         above_cache: dict[int, dict[str, int]] = {}
-        slack = None
         # Decided spatial prefix products: the exact model multiplies
         # every pair's fill words by the spatial products across
         # [child, parent) (``between``) and at levels >= parent
@@ -240,15 +234,6 @@ class BoundModel:
                     t_above = self._t_above(region, child, above_cache)
                     for d in tinfo.rel_dims:
                         t_rel *= t_above.get(d, 1)
-                    if region.free and region.free_min_level > child:
-                        free_rel = 1
-                        for d in tinfo.rel_dims:
-                            free_rel *= region.free.get(d, 1)
-                        if free_rel > 1:
-                            if slack is None:
-                                slack = self._spatial_slack(region)
-                            if free_rel > slack:
-                                t_rel *= free_rel / slack
                     vol *= t_rel
                 above_min = total_sp // sp_below[parent]
                 child_vol = (vol * above_min
@@ -278,7 +263,7 @@ class BoundModel:
                        + writes[i] * info.write_energies[i])
         if self.objective == "energy":
             return energy * _SAFETY
-        lanes = self._max_lanes(region, slack) * arch.mac_width
+        lanes = self._max_lanes(region) * arch.mac_width
         cycles = float(self.cycle_ops) / float(max(lanes, 1))
         for i, arch_level in enumerate(arch.levels):
             inst = self._instances[i]
@@ -332,15 +317,13 @@ class BoundModel:
         may use), >= 1."""
         slack = 1.0
         for b in self.info.fanout_levels:
-            if b < region.free_min_level:
-                continue
             used = 1
             for f in region.s_factors[b].values():
                 used *= f
             slack *= self.arch.levels[b].fanout / max(1, used)
         return max(1.0, slack)
 
-    def _max_lanes(self, region: Region, slack: float | None) -> float:
+    def _max_lanes(self, region: Region) -> float:
         """Upper bound on ``used_lanes()`` over the region."""
         decided = 1
         for level in region.s_factors:
@@ -348,8 +331,7 @@ class BoundModel:
                 decided *= f
         if not region.free:
             return min(self._lanes_cap, decided)
-        if slack is None:
-            slack = self._spatial_slack(region)
+        slack = self._spatial_slack(region)
         free_total = 1
         for e in region.free.values():
             free_total *= e

@@ -2,7 +2,7 @@
 
 from .accesses import AccessCounts, LevelAccesses, TensorTraffic, count_accesses
 from .batch import HAVE_NUMPY, evaluate_batch
-from .cost import INVALID_COST, CostResult, edp, evaluate, prefix_energy
+from .cost import INVALID_COST, CostResult, edp, evaluate
 from .reference import ReferenceCounts, simulate_fills
 from .terms import ModelInfo, model_info
 from .timing import TimingResult, analyze_timing
@@ -17,7 +17,6 @@ __all__ = [
     "evaluate_batch",
     "HAVE_NUMPY",
     "edp",
-    "prefix_energy",
     "INVALID_COST",
     "ModelInfo",
     "model_info",

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from ..arch.spec import Architecture
 from ..mapping.mapping import Mapping
 from ..sparse.spec import SparsitySpec
 from .accesses import AccessCounts, count_accesses
@@ -148,18 +147,3 @@ def edp(mapping: Mapping, partial_reuse: bool = True,
     if not result.valid:
         return INVALID_COST
     return result.edp
-
-
-def prefix_energy(result: CostResult, arch: Architecture,
-                  upto_level: int) -> float:
-    """Energy attributable to levels ``<= upto_level`` plus compute.
-
-    Used by the bottom-up scheduler's alpha-beta pruning: once the factors
-    at levels ``<= upto_level`` are fixed, this portion of the energy is a
-    lower bound on any completion of the partial schedule (upper levels can
-    only add energy).
-    """
-    total = result.compute_energy
-    for i in range(min(upto_level + 1, arch.num_levels)):
-        total += result.level_energy.get(arch.levels[i].name, 0.0)
-    return total

@@ -35,6 +35,8 @@ import hashlib
 import json
 from typing import Any, Callable, Sequence
 
+from ..arch import PRESETS
+from ..mappers import select_mappers, selection_keys
 from ..mapping.serialize import (
     architecture_from_dict,
     architecture_to_dict,
@@ -42,18 +44,9 @@ from ..mapping.serialize import (
     workload_to_dict,
 )
 from ..sparse import SparsityError, spec_from_cli
+from ..workloads import build_workload
 
 JOB_KINDS = ("schedule", "compare", "network")
-
-# Canonical mapper order of ``repro compare`` (cli.compare_runners).
-MAPPER_ORDER = (
-    "sunstone",
-    "timeloop-like",
-    "dmazerunner-like",
-    "interstellar-like",
-    "cosa-like",
-    "gamma-like",
-)
 
 MAX_SHARDS = 4096
 
@@ -134,11 +127,9 @@ def _normalize_workload(entry: Any) -> dict:
         raise ProtocolError(
             "workload needs either an inline document (with 'tensors') or "
             "{'kind': NAME, 'dims': {DIM: SIZE, ...}}")
-    from ..cli import build_workload
-    pairs = [f"{d}={size}" for d, size in _check_dims(dims).items()]
     try:
-        return workload_to_dict(build_workload(kind, pairs))
-    except SystemExit as error:
+        return workload_to_dict(build_workload(kind, _check_dims(dims)))
+    except LookupError as error:
         raise ProtocolError(str(error))
     except (TypeError, ValueError) as error:
         raise ProtocolError(f"bad workload dims: {error}")
@@ -168,14 +159,13 @@ def _normalize_arch(entry: Any, tech: str | None = None) -> dict:
     identity, so worker tasks are self-contained.
     """
     if isinstance(entry, str):
-        from ..cli import ARCHITECTURES
-        if entry not in ARCHITECTURES:
+        if entry not in PRESETS:
             raise ProtocolError(
                 f"unknown architecture {entry!r}; choose from "
-                f"{sorted(ARCHITECTURES)} or embed a document")
+                f"{sorted(PRESETS)} or embed a document")
         if tech is not None:
-            return architecture_to_dict(ARCHITECTURES[entry](tech=tech))
-        return architecture_to_dict(ARCHITECTURES[entry]())
+            return architecture_to_dict(PRESETS[entry](tech=tech))
+        return architecture_to_dict(PRESETS[entry]())
     if isinstance(entry, dict):
         try:
             arch = architecture_from_dict(entry)
@@ -299,17 +289,12 @@ def normalize_job(spec: dict) -> dict:
         job["shards"] = shards
     else:  # compare
         mappers = spec.get("mappers")
-        if isinstance(mappers, str):
-            mappers = [m.strip() for m in mappers.split(",") if m.strip()]
-        if mappers is not None:
-            mappers = _json_strings(mappers, "mappers")
-            known = {name.split("-")[0] for name in MAPPER_ORDER}
-            for m in mappers:
-                if m.split("-")[0] not in known:
-                    raise ProtocolError(f"unknown mapper {m!r}; choose "
-                                        f"from {sorted(known)}")
-            mappers = sorted({m.split("-")[0] for m in mappers})
-        job["mappers"] = mappers
+        if mappers is not None and not isinstance(mappers, str):
+            _json_strings(mappers, "mappers")
+        try:
+            job["mappers"] = selection_keys(mappers)
+        except ValueError as error:
+            raise ProtocolError(str(error))
     # See the network branch above: preserve document key order.
     return json.loads(json.dumps(job))
 
@@ -324,18 +309,6 @@ def _shape_key(workload_doc: dict) -> str:
         "dims": workload_doc["dims"],
         "tensors": workload_doc["tensors"],
     })
-
-
-def selected_mappers(job: dict) -> list[str]:
-    """Mapper rows of a compare job, in the CLI's canonical order."""
-    chosen = job.get("mappers")
-    names = []
-    for name in MAPPER_ORDER:
-        if (chosen is not None and name != "sunstone"
-                and name.split("-")[0] not in chosen):
-            continue
-        names.append(name)
-    return names
 
 
 def decompose_job(job: dict) -> list[dict]:
@@ -359,7 +332,7 @@ def decompose_job(job: dict) -> list[dict]:
             {"type": "mapper", "index": i, "name": name,
              "workload": job["workload"], "objective": job["objective"],
              "sparsity": job.get("sparsity"), **base}
-            for i, name in enumerate(selected_mappers(job))
+            for i, name in enumerate(select_mappers(job.get("mappers")))
         ]
     # network: one task per distinct layer shape, covering its repeats.
     tasks: list[dict] = []

@@ -24,12 +24,9 @@ import os
 import time
 from typing import Any
 
-from ..core import SchedulerOptions, schedule
-from ..mapping.serialize import (
-    architecture_from_dict,
-    mapping_to_dict,
-    workload_from_dict,
-)
+from ..core import SchedulerOptions
+from ..mappers import result_doc, run_mapper
+from ..mapping.serialize import architecture_from_dict, workload_from_dict
 from ..search import SearchEngine
 from .cache import SeedCache
 from .protocol import build_sparsity_spec
@@ -47,7 +44,7 @@ def _honour_kill_hook(job_id: str, task: dict, attempt: int) -> None:
         os._exit(1)
 
 
-def _seeded_engine(task: dict, options: SchedulerOptions,
+def _seeded_engine(options: SchedulerOptions,
                    seed: list[tuple[Any, Any]]) -> tuple[SearchEngine,
                                                          SeedCache]:
     """The engine ``SunstoneScheduler`` would build from ``options``,
@@ -72,48 +69,14 @@ def _scheduler_options(task: dict) -> SchedulerOptions:
                             shard=tuple(shard) if shard else None)
 
 
-def _outcome_doc(result) -> dict:
-    from ..baselines.common import certificate_from_bound
-    return {
-        "found": result.found,
-        "mapping": mapping_to_dict(result.mapping) if result.found else None,
-        "cost": None,
-        "evaluations": result.stats.evaluations,
-        "wall_time_s": result.stats.wall_time_s,
-        "certificate": certificate_from_bound(result.stats.bound),
-    }
-
-
-def _run_schedule(task: dict, seed: list) -> tuple[dict, SearchEngine,
-                                                   SeedCache]:
-    from ..cli import _cost_dict
-    workload = workload_from_dict(task["workload"])
-    arch = architecture_from_dict(task["arch"])
-    options = _scheduler_options(task)
-    engine, cache = _seeded_engine(task, options, seed)
-    result = schedule(workload, arch, options, engine=engine)
-    doc = _outcome_doc(result)
-    if result.found:
-        doc["cost"] = _cost_dict(result.cost)
-    return doc, engine, cache
-
-
-def _run_mapper(task: dict, seed: list) -> tuple[dict, SearchEngine | None,
-                                                 SeedCache | None]:
-    from ..cli import compare_runners, mapper_row
-    workload = workload_from_dict(task["workload"])
-    arch = architecture_from_dict(task["arch"])
-    options = _scheduler_options(task)
-    engine = cache = None
-    if task["name"] == "sunstone":
-        # Only Sunstone takes an injected engine here: the baselines
-        # build their own (their exact cold-CLI configuration), so their
-        # rows stay byte-for-byte what ``repro compare`` prints.
-        engine, cache = _seeded_engine(task, options, seed)
-    runner = compare_runners(workload, arch, options,
-                             engine=engine)[task["name"]]
-    result = runner()
-    return mapper_row(task["name"], result), engine, cache
+def _mapper_of(task: dict) -> str:
+    """The mapper a task runs: a compare job's mapper task names it;
+    schedule shards and network layers run Sunstone."""
+    if task["type"] == "mapper":
+        return task["name"]
+    if task["type"] in ("schedule", "layer"):
+        return "sunstone"
+    raise ValueError(f"unknown task type {task['type']!r}")
 
 
 def run_task(payload: dict) -> dict:
@@ -121,27 +84,32 @@ def run_task(payload: dict) -> dict:
 
     ``payload`` is ``{"job_id", "task", "seed", "attempt"}``; the part
     is ``{"index", "doc", "stats", "seed_hits", "entries",
-    "wall_time_s"}`` where ``entries`` are the ``(fingerprint,
-    CostResult)`` pairs this task computed, offered back to the shared
-    cache for admission.
+    "wall_time_s"}`` where ``doc`` is the mapper's
+    :func:`~repro.mappers.result_doc`, ``stats`` its engine telemetry
+    and ``entries`` the ``(fingerprint, CostResult)`` pairs this task
+    computed, offered back to the shared cache for admission.
     """
     task = payload["task"]
     seed = payload.get("seed") or []
     _honour_kill_hook(payload.get("job_id", ""), task,
                       payload.get("attempt", 0))
     start = time.perf_counter()
-    if task["type"] in ("schedule", "layer"):
-        doc, engine, cache = _run_schedule(task, seed)
-        stats = engine.stats.to_dict()
-    elif task["type"] == "mapper":
-        doc, engine, cache = _run_mapper(task, seed)
-        stats = doc.get("search")
-    else:
-        raise ValueError(f"unknown task type {task['type']!r}")
+    name = _mapper_of(task)
+    options = _scheduler_options(task)
+    engine = cache = None
+    if name == "sunstone":
+        # Only Sunstone takes an injected engine: the baselines build
+        # their own (their exact cold-CLI configuration), so their rows
+        # stay byte-for-byte what ``repro compare`` prints.
+        engine, cache = _seeded_engine(options, seed)
+    result = run_mapper(name, workload_from_dict(task["workload"]),
+                        architecture_from_dict(task["arch"]), options,
+                        engine=engine)
+    doc = result_doc(result)
     return {
         "index": task["index"],
         "doc": doc,
-        "stats": stats,
+        "stats": doc["search"],
         "seed_hits": cache.seed_hits if cache is not None else 0,
         "entries": cache.new_entries() if cache is not None else [],
         "wall_time_s": time.perf_counter() - start,

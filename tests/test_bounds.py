@@ -172,7 +172,7 @@ def test_region_bound_never_exceeds_region_min(sparse_key):
     free = {d: e for d, e in workload.dims.items() if d != first}
     for key, exact_min in minima.items():
         region = Region([{first: t} for t, _ in key],
-                        [{first: s} for _, s in key], dict(free), 0)
+                        [{first: s} for _, s in key], dict(free))
         bound = model.region_bound(region)
         assert bound <= exact_min * (1 + 1e-12), (
             f"region bound {bound} exceeds exact min {exact_min} "

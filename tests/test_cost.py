@@ -6,7 +6,7 @@ import pytest
 
 from repro.arch import UNIFIED, Architecture, MemoryLevel, tiny
 from repro.mapping import build_mapping
-from repro.model import INVALID_COST, edp, evaluate, prefix_energy
+from repro.model import INVALID_COST, edp, evaluate
 from repro.workloads import conv1d
 
 
@@ -104,11 +104,3 @@ class TestValidity:
         _, _, mapping = setup
         assert "valid" in evaluate(mapping).summary()
 
-
-class TestPrefixEnergy:
-    def test_prefix_monotone_in_level(self, setup):
-        _, arch, mapping = setup
-        res = evaluate(mapping)
-        prefixes = [prefix_energy(res, arch, i) for i in range(3)]
-        assert prefixes[0] <= prefixes[1] <= prefixes[2]
-        assert prefixes[2] <= res.energy_pj

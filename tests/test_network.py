@@ -50,20 +50,6 @@ class TestScheduleNetwork:
         assert "shared with first" in text
         assert "total:" in text
 
-    def test_custom_mapper(self):
-        calls = []
-
-        def fake_mapper(workload, arch):
-            from repro.core import schedule
-            calls.append(workload.name)
-            return schedule(workload, arch)
-
-        layers = [conv1d(K=4, C=4, P=14, R=3)]
-        arch = tiny(l1_words=64, l2_words=512, pes=4)
-        net = schedule_network(layers, arch, mapper=fake_mapper)
-        assert calls == ["conv1d"]
-        assert net.all_found
-
     def test_options_forwarded(self):
         layers = [conv1d(K=4, C=4, P=14, R=3)]
         arch = tiny(l1_words=64, l2_words=512, pes=4)

@@ -27,16 +27,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.arch import tiny
-from repro.cli import (
-    _cost_dict,
-    build_architecture,
-    build_workload,
-    compare_runners,
-    main,
-    mapper_row,
-)
+from repro.cli import build_architecture, build_workload, main
 from repro.core import SchedulerOptions, schedule
 from repro.core.network import schedule_network
+from repro.mappers import cost_doc, result_doc, run_mapper
 from repro.mapping.serialize import (
     architecture_to_dict,
     mapping_to_dict,
@@ -426,7 +420,7 @@ def cold_schedule(shard=None):
     result = schedule(workload, arch, SchedulerOptions(shard=shard))
     return rt({"found": result.found,
                "mapping": mapping_to_dict(result.mapping),
-               "cost": _cost_dict(result.cost),
+               "cost": cost_doc(result.cost),
                "evaluations": result.stats.evaluations})
 
 
@@ -456,10 +450,9 @@ class TestBitIdentity:
     def test_compare_job_rows_equal_cold_cli_rows(self):
         workload = build_workload("conv1d", ["K=4", "C=4", "P=14", "R=3"])
         arch = build_architecture("tiny")
-        runners = compare_runners(workload, arch, SchedulerOptions())
-        want = {name: rt(mapper_row(name, runner()))
-                for name, runner in runners.items()
-                if name in ("sunstone", "timeloop-like", "gamma-like")}
+        want = {name: rt(result_doc(run_mapper(name, workload, arch,
+                                               SchedulerOptions())))
+                for name in ("sunstone", "timeloop-like", "gamma-like")}
         job, = run_jobs([{
             "kind": "compare", "workload": SMALL_CONV, "arch": "tiny",
             "mappers": "timeloop,gamma",
@@ -488,7 +481,7 @@ class TestBitIdentity:
         assert result["found_all"] is network.all_found
         for got, entry in zip(result["layers"], network.layers):
             assert got["mapping"] == rt(mapping_to_dict(entry.result.mapping))
-            assert got["cost"] == rt(_cost_dict(entry.result.cost))
+            assert got["cost"] == rt(cost_doc(entry.result.cost))
             assert got["shared_with"] == entry.shared_with
         totals = rt({"energy_pj": network.total_energy_pj,
                      "cycles": network.total_cycles,
@@ -509,6 +502,37 @@ class TestBitIdentity:
         # ...with strictly less model execution.
         assert (second.result["search"]["evaluations"]
                 < first.result["search"]["evaluations"])
+
+
+    def test_warm_waves_equal_cold_runs_with_less_model_work(self,
+                                                             tmp_path,
+                                                             capsys):
+        """Two waves of jobs on one daemon against the same requests as
+        cold ``repro schedule`` runs: every warm answer is the cold one,
+        the repeat wave hits the shared cache, and the daemon runs the
+        cost model fewer times than the cold runs do together."""
+        specs = [schedule_spec(), schedule_spec(workload=dict(SMALL_FC))]
+        jobs = run_jobs(specs * 2)
+        colds = []
+        for spec in specs:
+            path = tmp_path / f"{spec['workload']['kind']}.json"
+            dims = [f"{d}={v}" for d, v in spec["workload"]["dims"].items()]
+            assert main(["schedule", "--workload", spec["workload"]["kind"],
+                         "--arch", "tiny", "--stats-json", str(path),
+                         *dims]) == 0
+            colds.append(json.loads(path.read_text()))
+        capsys.readouterr()
+        for job, cold in zip(jobs, colds * 2):
+            assert job.state == "done", job.error
+            assert job.result["mapping"] == cold["mapping"]
+            assert job.result["cost"] == cold["cost"]
+            assert job.result["evaluations"] == cold["evaluations"]
+        assert sum(job.seed_hits for job in jobs[len(specs):]) > 0
+        warm_model_runs = sum(job.result["search"]["evaluations"]
+                              for job in jobs)
+        cold_model_runs = 2 * sum(cold["search"]["evaluations"]
+                                  for cold in colds)
+        assert cold_model_runs > warm_model_runs
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,9 @@ import json
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.cli import _cost_dict, build_architecture, build_workload
+from repro.cli import build_architecture, build_workload
 from repro.core import SchedulerOptions, schedule
+from repro.mappers import cost_doc
 from repro.mapping.serialize import mapping_to_dict
 from repro.search.cache import EvalCache
 from repro.serve import ServeConfig, ServeDaemon
@@ -179,7 +180,7 @@ class TestSharedCacheBitIdentity:
         arch = build_architecture("tiny")
         cold = schedule(workload, arch, SchedulerOptions())
         want_mapping = json.loads(json.dumps(mapping_to_dict(cold.mapping)))
-        want_cost = json.loads(json.dumps(_cost_dict(cold.cost)))
+        want_cost = json.loads(json.dumps(cost_doc(cold.cost)))
 
         spec = {"kind": "schedule",
                 "workload": {"kind": "conv1d",

@@ -30,7 +30,7 @@ class TestValiditySurvey:
         assert outcomes["sunstone"].invalid_rate == 0.0
 
     def test_unknown_mapper_rejected(self, small_corpus):
-        with pytest.raises(ValueError, match="unknown mappers"):
+        with pytest.raises(ValueError, match="unknown mapper 'magic'"):
             validity_survey(small_corpus, conventional(),
                             mappers=("magic",))
 
